@@ -30,14 +30,12 @@ from ..core.reference_bfs_kernels import (reference_msbfs_expand,
                                           reference_pull_csc_kernel,
                                           reference_push_csc_kernel,
                                           reference_push_csr_kernel)
-from ..core.reference_kernels import (reference_batched_tiled_kernel,
-                                      reference_csc_tiled_kernel,
+from ..core.reference_kernels import (reference_csc_tiled_kernel,
                                       reference_tiled_kernel)
 from ..core.selection import KernelSelector
 from ..core.spmm_kernels import (spmm_merge_path_kernel,
                                  spmm_row_warp_kernel)
-from ..core.spmspv_kernels import (batched_tiled_kernel,
-                                   batched_union_kernel,
+from ..core.spmspv_kernels import (batched_union_kernel,
                                    csc_tiled_kernel, tiled_kernel)
 from ..core.tilebfs import TileBFS
 from ..fastpath import fastpath_tier
@@ -303,10 +301,10 @@ def run_wallclock(scale: int = 17, edge_factor: int = 16, nt: int = 16,
              lambda: reference_csc_tiled_kernel(At, x)),
         ]
         if batch > 1:
-            xs = [_frontier(n, density, nt, rng) for _ in range(batch)]
-            forms.append(
-                ("batched", lambda: batched_tiled_kernel(A, xs),
-                 lambda: reference_batched_tiled_kernel(A, xs)))
+            # advance the stream past one batch of frontiers: the
+            # committed inputs of the later sections were drawn after it
+            for _ in range(batch):
+                _frontier(n, density, nt, rng)
         for form, new_fn, ref_fn in forms:
             new_ms = _best_ms(new_fn, repeats)
             ref_ms = _best_ms(ref_fn, repeats)

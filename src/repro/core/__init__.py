@@ -20,15 +20,14 @@ from .reference_bfs_kernels import (reference_msbfs_expand,
                                     reference_pull_csc_kernel,
                                     reference_push_csc_kernel,
                                     reference_push_csr_kernel)
-from .reference_kernels import (reference_batched_tiled_kernel,
-                                reference_coo_side_kernel,
+from .reference_kernels import (reference_coo_side_kernel,
                                 reference_csc_tiled_kernel,
                                 reference_tiled_kernel)
 from .batched import BatchedSpMSpV
-from .spmspv import TileSpMSpV, as_tiled_vector, tile_spmspv
-from .spmspv_kernels import (batched_tiled_kernel, batched_union_kernel,
-                             coo_side_kernel, csc_tiled_kernel,
-                             tiled_kernel)
+from .spmspv import (TiledOperator, TileSpMSpV, as_tiled_vector,
+                     spmspv_plan_key, tile_spmspv)
+from .spmspv_kernels import (batched_union_kernel, coo_side_kernel,
+                             csc_tiled_kernel, tiled_kernel)
 from .spmm import TileSpMM, as_dense_block
 from .spmm_kernels import (row_tile_imbalance, spmm_coo_side_kernel,
                            spmm_merge_path_kernel, spmm_row_warp_kernel)
@@ -36,15 +35,15 @@ from .msbfs import MSBFSResult, MultiSourceBFS, msbfs_expand
 from .tilebfs import BFSResult, IterationRecord, TileBFS, tile_bfs
 
 __all__ = [
-    "TileSpMSpV", "tile_spmspv", "as_tiled_vector",
-    "tiled_kernel", "csc_tiled_kernel",
-    "batched_tiled_kernel", "coo_side_kernel",
+    "TiledOperator", "TileSpMSpV", "tile_spmspv", "as_tiled_vector",
+    "spmspv_plan_key", "tiled_kernel", "csc_tiled_kernel",
+    "coo_side_kernel",
     "BatchedSpMSpV", "batched_union_kernel",
     "TileSpMM", "as_dense_block",
     "spmm_row_warp_kernel", "spmm_merge_path_kernel",
     "spmm_coo_side_kernel", "row_tile_imbalance",
     "reference_tiled_kernel", "reference_csc_tiled_kernel",
-    "reference_batched_tiled_kernel", "reference_coo_side_kernel",
+    "reference_coo_side_kernel",
     "TileBFS", "tile_bfs", "BFSResult", "IterationRecord",
     "MultiSourceBFS", "MSBFSResult",
     "KernelSelector", "select_tile_size",

@@ -32,24 +32,56 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..errors import ShapeError, TileError
-from ..formats.coo import COOMatrix
+from ..errors import ShapeError
 from ..gpusim import Device
-from ..runtime import ExecutionContext, PlanCache, default_plan_cache, \
-    matrix_token
+from ..runtime import PlanCache
 from ..semiring import PLUS_TIMES, Semiring
-from ..tiles.extraction import HybridTiledMatrix
-from ..tiles.tiled_matrix import TiledMatrix
-from ..tiles.tiled_vector import SUPPORTED_TILE_SIZES
 from ..vectors.sparse_vector import SparseVector
-from .spmspv import VectorLike, _build_spmspv_plan, _spmspv_plan, \
-    as_tiled_vector
+from .spmspv import TiledOperator, VectorLike, as_tiled_vector
 from .spmspv_kernels import batched_union_kernel, coo_side_kernel
 
-__all__ = ["BatchedSpMSpV"]
+__all__ = ["BatchedSpMSpV", "coalesced_multiply"]
 
 
-class BatchedSpMSpV:
+def coalesced_multiply(op: TiledOperator, xs: Sequence[VectorLike],
+                       output: str, tag: Optional[str], union_name: str,
+                       side_name: str
+                       ) -> Union[List[SparseVector], np.ndarray]:
+    """One coalesced batch on a prepared operator: the union kernel over
+    the tiled part, then one COO-side launch per vector.
+
+    The batched path of every operator in the family —
+    :meth:`BatchedSpMSpV.multiply_batch` and
+    :meth:`~repro.core.TileSpMSpV.multiply_batch` differ only in their
+    launch names.
+    """
+    if output not in ("sparse", "dense"):
+        raise ShapeError(f"unknown output mode {output!r}")
+    if op._sharded is not None:
+        return op._sharded.multiply_batch(xs, output=output, tag=tag)
+    sr = op.semiring
+    fill = float(sr.add_identity)
+    xts = [as_tiled_vector(x, op.nt, fill, dtype=sr.dtype) for x in xs]
+    for xt in xts:
+        if xt.n != op.shape[1]:
+            raise ShapeError(
+                f"SpMSpV shape mismatch: A is {op.shape}, "
+                f"x has length {xt.n}"
+            )
+    Y = op.ctx.run(union_name, batched_union_kernel, op.hybrid.tiled, xts,
+                   semiring=sr, phase="batch", tag=tag)
+    if op.hybrid.side.nnz:
+        # the extracted COO side has no tile reuse to coalesce: one
+        # per-entry launch per vector, exactly the single path
+        for y, xt in zip(Y, xts):
+            op.ctx.run(side_name, coo_side_kernel, op._side_index, xt,
+                       semiring=sr, y_dense=y, phase="batch", tag=tag)
+    if output == "dense":
+        return Y
+    return [op.sparsify(y) for y in Y]
+
+
+class BatchedSpMSpV(TiledOperator):
     """Prepared batched SpMSpV operator for one sparse matrix.
 
     Parameters
@@ -57,7 +89,8 @@ class BatchedSpMSpV:
     matrix:
         Any library sparse matrix, or an already-built
         :class:`~repro.tiles.extraction.HybridTiledMatrix` /
-        :class:`~repro.tiles.tiled_matrix.TiledMatrix`.
+        :class:`~repro.tiles.tiled_matrix.TiledMatrix` /
+        :class:`~repro.shards.sharded_matrix.ShardedTiledMatrix`.
     nt:
         Tile size (16/32/64 per the paper; small powers of two for
         testing).
@@ -74,92 +107,15 @@ class BatchedSpMSpV:
         the two operators share one tiling.
     """
 
+    operator = "batched_spmspv"
+
     def __init__(self, matrix, nt: int = 16, extract_threshold: int = 2,
                  semiring: Semiring = PLUS_TIMES,
                  device: Optional[Device] = None,
                  plan_cache: Optional[PlanCache] = None,
                  parallel=None):
-        if nt not in SUPPORTED_TILE_SIZES:
-            raise TileError(
-                f"unsupported tile size {nt}; allowed: {SUPPORTED_TILE_SIZES}"
-            )
-        self.semiring = semiring
-        self.ctx = ExecutionContext.wrap(device, operator="batched_spmspv")
-        # deferred import: repro.shards imports core.spmspv helpers
-        from ..shards.sharded_matrix import ShardedTiledMatrix
-        if isinstance(matrix, ShardedTiledMatrix):
-            from ..shards.engine import ShardedSpMSpV
-            self._sharded: Optional[ShardedSpMSpV] = ShardedSpMSpV(
-                matrix, semiring=semiring, device=self.ctx,
-                plan_cache=plan_cache, parallel=parallel)
-            self._plan = None
-            self.hybrid = None
-            self._side_index = None
-            return
-        self._sharded = None
-        if isinstance(matrix, HybridTiledMatrix):
-            self._plan = _spmspv_plan(matrix)
-        elif isinstance(matrix, TiledMatrix):
-            self._plan = _spmspv_plan(HybridTiledMatrix(
-                tiled=matrix,
-                side=COOMatrix.empty(matrix.shape),
-                threshold=0,
-            ))
-        else:
-            cache = plan_cache if plan_cache is not None \
-                else default_plan_cache()
-            # same key as TileSpMSpV(mode="csr"): one tiling serves both
-            key = ("tilespmspv", matrix_token(matrix), nt,
-                   extract_threshold, semiring, "csr")
-            self._plan = cache.get_or_build(
-                key,
-                lambda: _build_spmspv_plan(matrix, nt, extract_threshold,
-                                           key),
-                pin=matrix)
-        self.hybrid = self._plan.data["hybrid"]
-        self._side_index = self._plan.data["side_index"]
-
-    # ------------------------------------------------------------------
-    @property
-    def device(self) -> Optional[Device]:
-        """The attached simulated GPU (held by the launch context)."""
-        return self.ctx.device
-
-    @device.setter
-    def device(self, device) -> None:
-        if isinstance(device, ExecutionContext):
-            self.ctx = device.scoped("batched_spmspv")
-        else:
-            self.ctx.device = device
-        if self._sharded is not None:
-            self._sharded.device = device
-
-    @property
-    def shape(self):
-        if self._sharded is not None:
-            return self._sharded.shape
-        return self.hybrid.shape
-
-    @property
-    def nt(self) -> int:
-        if self._sharded is not None:
-            return self._sharded.nt
-        return self.hybrid.nt
-
-    @property
-    def nnz(self) -> int:
-        if self._sharded is not None:
-            return self._sharded.nnz
-        return self.hybrid.nnz
-
-    # ------------------------------------------------------------------
-    def sparsify(self, y_dense: np.ndarray) -> SparseVector:
-        """Extract one dense accumulator row into a
-        :class:`SparseVector` (the same identity-dropping extraction
-        the single-vector path performs)."""
-        occupied = ~self.semiring.is_identity(y_dense)
-        idx = np.flatnonzero(occupied)
-        return SparseVector(self.shape[0], idx, y_dense[idx])
+        super().__init__(matrix, nt, extract_threshold, semiring, device,
+                         plan_cache, parallel)
 
     def multiply_batch(self, xs: Sequence[VectorLike],
                        output: str = "sparse",
@@ -182,36 +138,9 @@ class BatchedSpMSpV:
             :class:`~repro.runtime.BatchQueue` stamps its batch id
             here so traces attribute launches to batches).
         """
-        if output not in ("sparse", "dense"):
-            raise ShapeError(f"unknown output mode {output!r}")
-        if self._sharded is not None:
-            return self._sharded.multiply_batch(xs, output=output,
-                                                tag=tag)
-        fill = float(self.semiring.add_identity)
-        xts = [as_tiled_vector(x, self.nt, fill,
-                               dtype=self.semiring.dtype) for x in xs]
-        for xt in xts:
-            if xt.n != self.shape[1]:
-                raise ShapeError(
-                    f"SpMSpV shape mismatch: A is {self.shape}, "
-                    f"x has length {xt.n}"
-                )
-        Y, counters = batched_union_kernel(self.hybrid.tiled, xts,
-                                           semiring=self.semiring)
-        self.ctx.launch("batched_spmspv_union", counters, phase="batch",
-                        tag=tag)
-        if self.hybrid.side.nnz:
-            # the extracted COO side has no tile reuse to coalesce:
-            # one per-entry launch per vector, exactly the single path
-            for b, xt in enumerate(xts):
-                _, side_counters = coo_side_kernel(
-                    self._side_index, xt, semiring=self.semiring,
-                    y_dense=Y[b])
-                self.ctx.launch("batched_spmspv_coo_side", side_counters,
-                                phase="batch", tag=tag)
-        if output == "dense":
-            return Y
-        return [self.sparsify(Y[b]) for b in range(Y.shape[0])]
+        return coalesced_multiply(self, xs, output, tag,
+                                  "batched_spmspv_union",
+                                  "batched_spmspv_coo_side")
 
     def multiply(self, x: VectorLike, output: str = "sparse"):
         """Single-vector convenience: a batch of one.
@@ -223,13 +152,3 @@ class BatchedSpMSpV:
         result = self.multiply_batch([x], output="dense" if
                                      output == "dense" else "sparse")
         return result[0]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        if self._sharded is not None:
-            return (f"<BatchedSpMSpV {self.shape} nt={self.nt} "
-                    f"shards={self._sharded.matrix.n_shards} "
-                    f"semiring={self.semiring.name}>")
-        return (f"<BatchedSpMSpV {self.shape} nt={self.nt} "
-                f"tiles={self.hybrid.tiled.n_nonempty_tiles} "
-                f"side_nnz={self.hybrid.side.nnz} "
-                f"semiring={self.semiring.name}>")

@@ -37,7 +37,7 @@ from ..tiles.tiled_vector import TiledVector
 from .spmspv_kernels import _lane_utilization
 
 __all__ = ["reference_tiled_kernel", "reference_csc_tiled_kernel",
-           "reference_batched_tiled_kernel", "reference_coo_side_kernel"]
+           "reference_coo_side_kernel"]
 
 
 def reference_tiled_kernel(A: TiledMatrix, x: TiledVector,
@@ -96,72 +96,6 @@ def reference_tiled_kernel(A: TiledMatrix, x: TiledVector,
         np.diff(A.tile_nnz_ptr)[active])
     counters.check()
     return y_dense, counters
-
-
-def reference_batched_tiled_kernel(A: TiledMatrix, xs,
-                                   semiring: Semiring = PLUS_TIMES
-                                   ) -> Tuple[np.ndarray, KernelCounters]:
-    """Seed batched kernel: per-vector O(nnz) masks, per-iteration
-    recomputation of loop-invariant casts."""
-    k = len(xs)
-    if k == 0:
-        raise ShapeError("batched SpMSpV needs at least one vector")
-    nt = A.nt
-    m = A.shape[0]
-    for x in xs:
-        if x.n != A.shape[1]:
-            raise ShapeError(
-                f"SpMSpV shape mismatch: A is {A.shape}, "
-                f"x has length {x.n}"
-            )
-        if x.nt != nt:
-            raise ShapeError(
-                f"tile size mismatch: matrix nt={nt}, vector nt={x.nt}"
-            )
-
-    Y = np.full((k, m), semiring.add_identity, dtype=semiring.dtype)
-    counters = KernelCounters(launches=1)
-    counters.coalesced_read_bytes += A.n_nonempty_tiles * 16.0
-    counters.l2_read_bytes += A.n_nonempty_tiles * 8.0 * k
-
-    tile_of_entry = A.tile_of_entry()
-    rowidx = A.tile_rowidx()
-    nnz_per_tile = np.diff(A.tile_nnz_ptr)
-    total_active_rows = 0.0
-    utilizations = []
-    for b, x in enumerate(xs):
-        x_off = x.x_ptr[A.tile_colidx]
-        active = x_off >= 0
-        if not active.any():
-            continue
-        entry_active = active[tile_of_entry]
-        t_act = tile_of_entry[entry_active]
-        vals = A.values[entry_active]
-        lrow = A.local_row[entry_active].astype(np.int64)
-        lcol = A.local_col[entry_active].astype(np.int64)
-        xv = x.x_tile[x_off[t_act] * nt + lcol]
-        products = semiring.mul(vals, xv)
-        grow = rowidx[t_act] * nt + lrow
-        semiring.add.at(Y[b], grow, products)
-
-        n_active = int(active.sum())
-        idx_bytes = A.index_bytes_per_entry()
-        counters.coalesced_read_bytes += len(vals) * (8.0 + idx_bytes)
-        counters.l2_read_bytes += n_active * nt * 8.0
-        counters.shared_bytes += n_active * nt * 8.0
-        counters.flops += 2.0 * len(vals)
-        row_tiles_active = len(np.unique(rowidx[active]))
-        counters.coalesced_write_bytes += row_tiles_active * nt * 8.0
-        total_active_rows += row_tiles_active
-        utilizations.append(_lane_utilization(nnz_per_tile[active]))
-
-    counters.warps = max(
-        1.0, float(max(total_active_rows,
-                       int((np.diff(A.tile_ptr) > 0).sum()))))
-    if utilizations:
-        counters.divergence = float(np.mean(utilizations))
-    counters.check()
-    return Y, counters
 
 
 def reference_csc_tiled_kernel(At: TiledMatrix, x: TiledVector,

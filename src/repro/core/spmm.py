@@ -33,19 +33,14 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from ..errors import ShapeError, TileError
-from ..formats.coo import COOMatrix
+from ..errors import ShapeError
 from ..gpusim import Device
-from ..runtime import ExecutionContext, PlanCache, default_plan_cache, \
-    matrix_token
+from ..runtime import PlanCache
 from ..semiring import PLUS_TIMES, Semiring
-from ..tiles.extraction import HybridTiledMatrix
-from ..tiles.tiled_matrix import TiledMatrix
-from ..tiles.tiled_vector import SUPPORTED_TILE_SIZES
 from ..vectors.dense_block import DenseBlock
 from ..vectors.sparse_vector import SparseVector
 from .selection import SPMM_MERGE_PATH, KernelSelector
-from .spmspv import VectorLike, _build_spmspv_plan, _spmspv_plan
+from .spmspv import TiledOperator, VectorLike
 from .spmm_kernels import (row_tile_imbalance, spmm_coo_side_kernel,
                            spmm_merge_path_kernel, spmm_row_warp_kernel)
 
@@ -79,7 +74,7 @@ def as_dense_block(X: BlockLike, nt: int, fill: float,
     raise ShapeError(f"cannot build a DenseBlock from {type(X).__name__}")
 
 
-class TileSpMM:
+class TileSpMM(TiledOperator):
     """Prepared SpMM operator for one sparse matrix.
 
     Parameters
@@ -109,86 +104,18 @@ class TileSpMM:
         over the same matrix, so all three engines share one tiling.
     """
 
+    operator = "tilespmm"
+
     def __init__(self, matrix, nt: int = 16, extract_threshold: int = 2,
                  semiring: Semiring = PLUS_TIMES,
                  device: Optional[Device] = None,
                  selector: Optional[KernelSelector] = None,
                  plan_cache: Optional[PlanCache] = None,
                  parallel=None):
-        if nt not in SUPPORTED_TILE_SIZES:
-            raise TileError(
-                f"unsupported tile size {nt}; allowed: {SUPPORTED_TILE_SIZES}"
-            )
-        self.semiring = semiring
+        super().__init__(matrix, nt, extract_threshold, semiring, device,
+                         plan_cache, parallel)
         self.selector = selector if selector is not None \
             else KernelSelector()
-        self.ctx = ExecutionContext.wrap(device, operator="tilespmm")
-        # deferred import: repro.shards imports core helpers
-        from ..shards.sharded_matrix import ShardedTiledMatrix
-        if isinstance(matrix, ShardedTiledMatrix):
-            from ..shards.engine import ShardedSpMSpV
-            self._sharded: Optional[ShardedSpMSpV] = ShardedSpMSpV(
-                matrix, semiring=semiring, device=self.ctx,
-                plan_cache=plan_cache, parallel=parallel)
-            self._plan = None
-            self.hybrid = None
-            self._side_index = None
-            return
-        self._sharded = None
-        if isinstance(matrix, HybridTiledMatrix):
-            self._plan = _spmspv_plan(matrix)
-        elif isinstance(matrix, TiledMatrix):
-            self._plan = _spmspv_plan(HybridTiledMatrix(
-                tiled=matrix,
-                side=COOMatrix.empty(matrix.shape),
-                threshold=0,
-            ))
-        else:
-            cache = plan_cache if plan_cache is not None \
-                else default_plan_cache()
-            # same key as TileSpMSpV(mode="csr"): one tiling serves all
-            key = ("tilespmspv", matrix_token(matrix), nt,
-                   extract_threshold, semiring, "csr")
-            self._plan = cache.get_or_build(
-                key,
-                lambda: _build_spmspv_plan(matrix, nt, extract_threshold,
-                                           key),
-                pin=matrix)
-        self.hybrid = self._plan.data["hybrid"]
-        self._side_index = self._plan.data["side_index"]
-
-    # ------------------------------------------------------------------
-    @property
-    def device(self) -> Optional[Device]:
-        """The attached simulated GPU (held by the launch context)."""
-        return self.ctx.device
-
-    @device.setter
-    def device(self, device) -> None:
-        if isinstance(device, ExecutionContext):
-            self.ctx = device.scoped("tilespmm")
-        else:
-            self.ctx.device = device
-        if self._sharded is not None:
-            self._sharded.device = device
-
-    @property
-    def shape(self):
-        if self._sharded is not None:
-            return self._sharded.shape
-        return self.hybrid.shape
-
-    @property
-    def nt(self) -> int:
-        if self._sharded is not None:
-            return self._sharded.nt
-        return self.hybrid.nt
-
-    @property
-    def nnz(self) -> int:
-        if self._sharded is not None:
-            return self._sharded.nnz
-        return self.hybrid.nnz
 
     # ------------------------------------------------------------------
     def _imbalance(self) -> float:
@@ -206,14 +133,6 @@ class TileSpMM:
             return self.selector.choose_spmm(1.0) if \
                 self.selector.forced is not None else "per-shard"
         return self.selector.choose_spmm(self._imbalance())
-
-    def sparsify(self, y_dense: np.ndarray) -> SparseVector:
-        """Extract one dense column into a :class:`SparseVector` (the
-        same identity-dropping extraction the single-vector path
-        performs)."""
-        occupied = ~self.semiring.is_identity(y_dense)
-        idx = np.flatnonzero(occupied)
-        return SparseVector(self.shape[0], idx, y_dense[idx])
 
     def as_block(self, X: BlockLike) -> DenseBlock:
         """Coerce ``X`` to a :class:`DenseBlock` with this operator's
@@ -254,13 +173,12 @@ class TileSpMM:
             fn, name = spmm_merge_path_kernel, "tile_spmm_merge_path"
         else:
             fn, name = spmm_row_warp_kernel, "tile_spmm_row_warp"
-        Y, counters = fn(self.hybrid.tiled, Xb, semiring=self.semiring)
-        self.ctx.launch(name, counters, phase="spmm", tag=tag)
+        Y = self.ctx.run(name, fn, self.hybrid.tiled, Xb,
+                         semiring=self.semiring, phase="spmm", tag=tag)
         if self.hybrid.side.nnz:
-            _, side_counters = spmm_coo_side_kernel(
-                self._side_index, Xb, semiring=self.semiring, Y=Y)
-            self.ctx.launch("tile_spmm_coo_side", side_counters,
-                            phase="spmm", tag=tag)
+            self.ctx.run("tile_spmm_coo_side", spmm_coo_side_kernel,
+                         self._side_index, Xb, semiring=self.semiring, Y=Y,
+                         phase="spmm", tag=tag)
         if output == "dense":
             return Y
         return [self.sparsify(Y[:, j]) for j in range(Y.shape[1])]
@@ -276,10 +194,7 @@ class TileSpMM:
             block: BlockLike = x.reshape(-1, 1)
         else:
             if not isinstance(x, SparseVector):
-                from .spmspv import as_tiled_vector
-                xt = as_tiled_vector(x, self.nt,
-                                     float(self.semiring.add_identity),
-                                     dtype=self.semiring.dtype)
+                xt = self._as_tiled_vector(x)
                 idx, vals = xt.to_sparse()
                 x = SparseVector(xt.n, idx, vals)
             block = [x]
@@ -288,13 +203,3 @@ class TileSpMM:
         if output == "dense":
             return result[:, 0]
         return result[0]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        if self._sharded is not None:
-            return (f"<TileSpMM {self.shape} nt={self.nt} "
-                    f"shards={self._sharded.matrix.n_shards} "
-                    f"semiring={self.semiring.name}>")
-        return (f"<TileSpMM {self.shape} nt={self.nt} "
-                f"tiles={self.hybrid.tiled.n_nonempty_tiles} "
-                f"side_nnz={self.hybrid.side.nnz} "
-                f"semiring={self.semiring.name}>")

@@ -11,6 +11,13 @@ Every multiply runs the row-tile warp kernel of Algorithm 4 over the
 tiled part and the per-entry kernel over the extracted COO part, and —
 when a :class:`~repro.gpusim.Device` is attached — submits priced
 launch records so benchmarks can read simulated GPU time.
+
+The preparation itself lives in :class:`TiledOperator`, the base the
+whole tiled multiply family shares (single vector here, batched union
+in :mod:`repro.core.batched`, dense block in :mod:`repro.core.spmm`);
+each kernel launch goes through :meth:`ExecutionContext.run
+<repro.runtime.ExecutionContext.run>`, which prices it inline, runs it
+counters-off, or defers it for production replay.
 """
 
 from __future__ import annotations
@@ -33,8 +40,9 @@ from ..tiles.tiled_vector import SUPPORTED_TILE_SIZES, TiledVector
 from ..vectors.sparse_vector import SparseVector
 from .spmspv_kernels import coo_side_kernel, csc_tiled_kernel, tiled_kernel
 
-__all__ = ["TileSpMSpV", "tile_spmspv", "as_tiled_vector",
-           "apply_output_mask"]
+__all__ = ["TiledOperator", "TileSpMSpV", "tile_spmspv",
+           "as_tiled_vector", "apply_output_mask", "spmspv_plan_key",
+           "sparsify", "shape_output"]
 
 VectorLike = Union[SparseVector, TiledVector, np.ndarray]
 
@@ -68,7 +76,159 @@ def as_tiled_vector(x: VectorLike, nt: int, fill: float,
                                   dtype=dtype)
 
 
-class TileSpMSpV:
+def spmspv_plan_key(matrix, nt: int, extract_threshold: int,
+                    semiring: Semiring, mode: str = "csr") -> tuple:
+    """The plan-cache key of a TileSpMSpV-family preparation.
+
+    Every operator built with the same arguments — and the serving
+    layer pinning that operator's plan — asks the cache with this key,
+    so one matrix is tiled once for all of them.
+    """
+    return ("tilespmspv", matrix_token(matrix), nt, extract_threshold,
+            semiring, mode)
+
+
+def sparsify(y_dense: np.ndarray, semiring: Semiring) -> SparseVector:
+    """Drop the additive-identity slots of a dense result."""
+    idx = np.flatnonzero(~semiring.is_identity(y_dense))
+    return SparseVector(y_dense.shape[0], idx, y_dense[idx])
+
+
+def shape_output(y_dense: np.ndarray, output: str, semiring: Semiring,
+                 nt: int) -> Union[SparseVector, TiledVector, np.ndarray]:
+    """A dense result in the form ``output`` names: ``"dense"`` as is,
+    ``"sparse"`` or ``"tiled"`` with the identity slots dropped."""
+    if output == "dense":
+        return y_dense
+    sv = sparsify(y_dense, semiring)
+    if output == "sparse":
+        return sv
+    return TiledVector.from_sparse(sv.indices, sv.values, sv.n, nt,
+                                   fill=float(semiring.add_identity),
+                                   dtype=semiring.dtype)
+
+
+class TiledOperator:
+    """The prepared operator the tiled multiply family shares.
+
+    Everything but the kernels: the tile-size check, the launch context
+    (tagged with the subclass's :attr:`operator`), the preprocessing
+    plan — the hybrid tiling plus the indexed COO side matrix, looked
+    up in the plan cache or built from a prebuilt tiling — and, for a
+    :class:`~repro.shards.sharded_matrix.ShardedTiledMatrix`,
+    delegation to :class:`~repro.shards.engine.ShardedSpMSpV`.
+    :class:`TileSpMSpV`, :class:`~repro.core.batched.BatchedSpMSpV` and
+    :class:`~repro.core.spmm.TileSpMM` add only their kernel methods,
+    so every operator over one matrix shares one tiling.
+    """
+
+    #: Operator tag of the launch context (trace events carry it);
+    #: each subclass names its own.
+    operator: Optional[str] = None
+
+    def __init__(self, matrix, nt: int, extract_threshold: int,
+                 semiring: Semiring, device, plan_cache: Optional[PlanCache],
+                 parallel, mode: str = "csr"):
+        if nt not in SUPPORTED_TILE_SIZES:
+            raise TileError(
+                f"unsupported tile size {nt}; allowed: {SUPPORTED_TILE_SIZES}"
+            )
+        self.semiring = semiring
+        self.ctx = ExecutionContext.wrap(device, operator=self.operator)
+        self._sharded = None
+        self._plan = None
+        self.hybrid = None
+        self._side_index = None
+        # deferred import: repro.shards imports this module for the
+        # shared vector coercion / mask helpers
+        from ..shards.sharded_matrix import ShardedTiledMatrix
+        if isinstance(matrix, ShardedTiledMatrix):
+            from ..shards.engine import ShardedSpMSpV
+            # out-of-core path: the engine owns scheduling, streaming
+            # and per-shard plans; this operator is a thin front.  The
+            # sharded matrix's own tiling parameters win over the
+            # constructor defaults, as with a prebuilt TiledMatrix.
+            self._sharded = ShardedSpMSpV(
+                matrix, semiring=semiring, device=self.ctx,
+                plan_cache=plan_cache, parallel=parallel)
+            return
+        if isinstance(matrix, TiledMatrix):
+            matrix = HybridTiledMatrix(tiled=matrix,
+                                       side=COOMatrix.empty(matrix.shape),
+                                       threshold=0)
+        if isinstance(matrix, HybridTiledMatrix):
+            # preprocessing already done by the caller: private plan
+            self._plan = _spmspv_plan(matrix)
+        else:
+            cache = plan_cache if plan_cache is not None \
+                else default_plan_cache()
+            key = spmspv_plan_key(matrix, nt, extract_threshold, semiring,
+                                  mode)
+            self._plan = cache.get_or_build(
+                key,
+                lambda: _build_spmspv_plan(matrix, nt, extract_threshold,
+                                           key),
+                pin=matrix)
+        self.hybrid = self._plan.data["hybrid"]
+        self._side_index = self._plan.data["side_index"]
+
+    # ------------------------------------------------------------------
+    @property
+    def device(self) -> Optional[Device]:
+        """The attached simulated GPU (held by the launch context)."""
+        return self.ctx.device
+
+    @device.setter
+    def device(self, device) -> None:
+        if isinstance(device, ExecutionContext):
+            self.ctx = device.scoped(self.operator)
+        else:
+            self.ctx.device = device
+        if self._sharded is not None:
+            self._sharded.device = device
+
+    @property
+    def _prepared(self):
+        """What the operator multiplies: the sharded engine or the
+        hybrid tiling."""
+        return self.hybrid if self._sharded is None else self._sharded
+
+    @property
+    def shape(self):
+        return self._prepared.shape
+
+    @property
+    def nt(self) -> int:
+        return self._prepared.nt
+
+    @property
+    def nnz(self) -> int:
+        return self._prepared.nnz
+
+    # ------------------------------------------------------------------
+    def _as_tiled_vector(self, x: VectorLike) -> TiledVector:
+        return as_tiled_vector(x, self.nt,
+                               float(self.semiring.add_identity),
+                               dtype=self.semiring.dtype)
+
+    def sparsify(self, y_dense: np.ndarray) -> SparseVector:
+        """Extract one dense accumulator row or column into a
+        :class:`SparseVector` (drops the additive-identity slots)."""
+        return sparsify(y_dense, self.semiring)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        name = type(self).__name__
+        if self._sharded is not None:
+            return (f"<{name} {self.shape} nt={self.nt} "
+                    f"shards={self._sharded.matrix.n_shards} "
+                    f"semiring={self.semiring.name}>")
+        return (f"<{name} {self.shape} nt={self.nt} "
+                f"tiles={self.hybrid.tiled.n_nonempty_tiles} "
+                f"side_nnz={self.hybrid.side.nnz} "
+                f"semiring={self.semiring.name}>")
+
+
+class TileSpMSpV(TiledOperator):
     """Prepared TileSpMSpV operator for one sparse matrix.
 
     Parameters
@@ -76,7 +236,8 @@ class TileSpMSpV:
     matrix:
         Any library sparse matrix (or an already-built
         :class:`~repro.tiles.extraction.HybridTiledMatrix` /
-        :class:`~repro.tiles.tiled_matrix.TiledMatrix`).
+        :class:`~repro.tiles.tiled_matrix.TiledMatrix`, or a
+        :class:`~repro.shards.sharded_matrix.ShardedTiledMatrix`).
     nt:
         Tile size (16/32/64 per the paper; small powers of two are also
         accepted for testing).  Default 16, the paper's SpMSpV choice.
@@ -103,6 +264,8 @@ class TileSpMSpV:
         the CSC form.
     """
 
+    operator = "tilespmspv"
+
     def __init__(self, matrix, nt: int = 16, extract_threshold: int = 2,
                  semiring: Semiring = PLUS_TIMES,
                  device: Optional[Device] = None,
@@ -110,100 +273,17 @@ class TileSpMSpV:
                  adaptive_threshold: float = 0.02,
                  plan_cache: Optional[PlanCache] = None,
                  parallel=None):
-        if nt not in SUPPORTED_TILE_SIZES:
-            raise TileError(
-                f"unsupported tile size {nt}; allowed: {SUPPORTED_TILE_SIZES}"
-            )
         if mode not in ("csr", "csc", "adaptive"):
             raise TileError(f"unknown SpMSpV mode {mode!r}; "
                             "expected csr / csc / adaptive")
         if not (0.0 <= adaptive_threshold <= 1.0):
             raise TileError("adaptive_threshold must be in [0, 1]")
-        self.semiring = semiring
         self.mode = mode
         self.adaptive_threshold = float(adaptive_threshold)
-        self.ctx = ExecutionContext.wrap(device, operator="tilespmspv")
-        # deferred import: repro.shards imports this module for the
-        # shared vector coercion / mask helpers
-        from ..shards.sharded_matrix import ShardedTiledMatrix
-        if isinstance(matrix, ShardedTiledMatrix):
-            from ..shards.engine import ShardedSpMSpV
-            # out-of-core path: the engine owns scheduling, streaming
-            # and per-shard plans; this operator is a thin front.  The
-            # sharded matrix's own tiling parameters win over the
-            # constructor defaults, as with a prebuilt TiledMatrix.
-            self._sharded: Optional[ShardedSpMSpV] = ShardedSpMSpV(
-                matrix, semiring=semiring, device=self.ctx,
-                plan_cache=plan_cache, parallel=parallel)
-            self._plan = None
-            self.hybrid = None
-            self._side_index = None
-            return
-        self._sharded = None
-        if isinstance(matrix, HybridTiledMatrix):
-            # preprocessing already done by the caller: private plan
-            self._plan = _spmspv_plan(matrix)
-        elif isinstance(matrix, TiledMatrix):
-            self._plan = _spmspv_plan(HybridTiledMatrix(
-                tiled=matrix,
-                side=COOMatrix.empty(matrix.shape),
-                threshold=0,
-            ))
-        else:
-            cache = plan_cache if plan_cache is not None \
-                else default_plan_cache()
-            key = ("tilespmspv", matrix_token(matrix), nt,
-                   extract_threshold, semiring, mode)
-            self._plan = cache.get_or_build(
-                key,
-                lambda: _build_spmspv_plan(matrix, nt, extract_threshold,
-                                           key),
-                pin=matrix)
-        self.hybrid = self._plan.data["hybrid"]
-        self._side_index = self._plan.data["side_index"]
-        if self.hybrid.nt != nt and not isinstance(
-                matrix, (HybridTiledMatrix, TiledMatrix)):
-            raise TileError("internal: tile size mismatch")  # pragma: no cover
+        super().__init__(matrix, nt, extract_threshold, semiring, device,
+                         plan_cache, parallel, mode=mode)
 
     # ------------------------------------------------------------------
-    @property
-    def device(self) -> Optional[Device]:
-        """The attached simulated GPU (held by the launch context)."""
-        return self.ctx.device
-
-    @device.setter
-    def device(self, device) -> None:
-        if isinstance(device, ExecutionContext):
-            self.ctx = device.scoped("tilespmspv")
-        else:
-            self.ctx.device = device
-        if self._sharded is not None:
-            self._sharded.device = device
-
-    @property
-    def shape(self):
-        if self._sharded is not None:
-            return self._sharded.shape
-        return self.hybrid.shape
-
-    @property
-    def nt(self) -> int:
-        if self._sharded is not None:
-            return self._sharded.nt
-        return self.hybrid.nt
-
-    @property
-    def nnz(self) -> int:
-        if self._sharded is not None:
-            return self._sharded.nnz
-        return self.hybrid.nnz
-
-    # ------------------------------------------------------------------
-    def _as_tiled_vector(self, x: VectorLike) -> TiledVector:
-        return as_tiled_vector(x, self.nt,
-                               float(self.semiring.add_identity),
-                               dtype=self.semiring.dtype)
-
     def _transposed(self) -> TiledMatrix:
         """The CSC-of-tiles view: the tiling of A^T (built lazily,
         cached on the plan — a second preprocessing pass, like the
@@ -276,55 +356,17 @@ class TileSpMSpV:
             fn, mat = csc_tiled_kernel, self._transposed()
         else:
             fn, mat = tiled_kernel, self.hybrid.tiled
-        if self.ctx.active:
-            # modeled, device attached: price the launch inline
-            y_dense, counters = fn(mat, xt, semiring=self.semiring)
-            self.ctx.launch(_MULTIPLY_LAUNCH_NAMES[kernel], counters,
-                            phase="multiply")
-        else:
-            # accounting compiles out of the multiply; production mode
-            # replays it later by re-running the kernel counters-on
-            # (fresh accumulator — counters don't depend on it)
-            y_dense, _ = fn(mat, xt, semiring=self.semiring,
-                            with_counters=False)
-            if self.ctx.production:
-                self.ctx.defer(
-                    _MULTIPLY_LAUNCH_NAMES[kernel],
-                    lambda: fn(mat, xt, semiring=self.semiring)[1],
-                    phase="multiply")
+        y_dense = self.ctx.run(_MULTIPLY_LAUNCH_NAMES[kernel], fn, mat, xt,
+                               semiring=self.semiring, phase="multiply")
         if self.hybrid.side.nnz:
-            if self.ctx.active:
-                y_dense, side_counters = coo_side_kernel(
-                    self._side_index, xt, semiring=self.semiring,
-                    y_dense=y_dense)
-                self.ctx.launch("tile_spmspv_coo_side", side_counters,
-                                phase="multiply")
-            else:
-                y_dense, _ = coo_side_kernel(
-                    self._side_index, xt, semiring=self.semiring,
-                    y_dense=y_dense, with_counters=False)
-                if self.ctx.production:
-                    self.ctx.defer(
-                        "tile_spmspv_coo_side",
-                        lambda: coo_side_kernel(
-                            self._side_index, xt,
-                            semiring=self.semiring)[1],
-                        phase="multiply")
-
+            y_dense = self.ctx.run(
+                "tile_spmspv_coo_side", coo_side_kernel, self._side_index,
+                xt, semiring=self.semiring, y_dense=y_dense,
+                phase="multiply")
         if mask is not None:
-            y_dense = self._apply_mask(y_dense, mask, mask_complement)
-
-        if output == "dense":
-            return y_dense
-        occupied = ~self.semiring.is_identity(y_dense)
-        idx = np.flatnonzero(occupied)
-        sv = SparseVector(self.shape[0], idx, y_dense[idx])
-        if output == "sparse":
-            return sv
-        return TiledVector.from_sparse(
-            sv.indices, sv.values, sv.n, self.nt,
-            fill=float(self.semiring.add_identity),
-            dtype=self.semiring.dtype)
+            y_dense = apply_output_mask(y_dense, mask, mask_complement,
+                                        self.semiring, self.ctx)
+        return shape_output(y_dense, output, self.semiring, self.nt)
 
     def multiply_transpose(self, x: VectorLike,
                            output: str = "sparse"
@@ -346,26 +388,15 @@ class TileSpMSpV:
                 "matrix (row strips do not partition A^T by rows)"
             )
         At = self._transposed_full()
-        fill = float(self.semiring.add_identity)
-        xt = as_tiled_vector(x, self.nt, fill, dtype=self.semiring.dtype)
+        xt = self._as_tiled_vector(x)
         if xt.n != self.shape[0]:
             raise ShapeError(
                 f"transpose SpMSpV shape mismatch: A^T is "
                 f"{(self.shape[1], self.shape[0])}, x has length {xt.n}"
             )
-        y_dense, counters = tiled_kernel(At, xt, semiring=self.semiring)
-        self.ctx.launch("tile_spmspv_transpose", counters,
-                        phase="multiply")
-        if output == "dense":
-            return y_dense
-        occupied = ~self.semiring.is_identity(y_dense)
-        idx = np.flatnonzero(occupied)
-        sv = SparseVector(self.shape[1], idx, y_dense[idx])
-        if output == "sparse":
-            return sv
-        return TiledVector.from_sparse(sv.indices, sv.values, sv.n,
-                                       self.nt, fill=fill,
-                                       dtype=self.semiring.dtype)
+        y_dense = self.ctx.run("tile_spmspv_transpose", tiled_kernel, At,
+                               xt, semiring=self.semiring, phase="multiply")
+        return shape_output(y_dense, output, self.semiring, self.nt)
 
     def _transposed_full(self) -> TiledMatrix:
         """Tiling of the full A^T (tiled part + side matrix), cached on
@@ -376,10 +407,11 @@ class TileSpMSpV:
                 self.hybrid.to_coo().transpose(), self.nt)))
 
     def multiply_batch(self, xs, output: str = "sparse"):
-        """Multiply against a batch of vectors in one logical launch.
+        """Multiply against a batch of vectors in one coalesced launch.
 
-        The tile-metadata scan is amortised over the batch (see
-        :func:`~repro.core.spmspv_kernels.batched_tiled_kernel`) — the
+        Runs the union kernel of
+        :class:`~repro.core.batched.BatchedSpMSpV` under this
+        operator's launch names (``tile_spmspv_batch``) — the
         multi-source pattern of batched BFS / Brandes BC.
 
         Parameters
@@ -390,37 +422,10 @@ class TileSpMSpV:
             ``"sparse"`` → list of :class:`SparseVector`;
             ``"dense"`` → one ``(k, m)`` ndarray.
         """
-        from .spmspv_kernels import batched_tiled_kernel
-
-        if output not in ("sparse", "dense"):
-            raise ShapeError(f"unknown output mode {output!r}")
-        if self._sharded is not None:
-            return self._sharded.multiply_batch(xs, output=output)
-        xts = [self._as_tiled_vector(x) for x in xs]
-        Y, counters = batched_tiled_kernel(self.hybrid.tiled, xts,
-                                           semiring=self.semiring)
-        self.ctx.launch("tile_spmspv_batch", counters, phase="batch")
-        if self.hybrid.side.nnz:
-            for b, xt in enumerate(xts):
-                _, side_counters = coo_side_kernel(
-                    self._side_index, xt, semiring=self.semiring,
-                    y_dense=Y[b])
-                self.ctx.launch("tile_spmspv_coo_side", side_counters,
-                                phase="batch")
-        if output == "dense":
-            return Y
-        out = []
-        for b in range(Y.shape[0]):
-            occupied = ~self.semiring.is_identity(Y[b])
-            idx = np.flatnonzero(occupied)
-            out.append(SparseVector(self.shape[0], idx, Y[b][idx]))
-        return out
-
-    def _apply_mask(self, y_dense: np.ndarray, mask: VectorLike,
-                    complement: bool) -> np.ndarray:
-        """Force non-kept positions of ``y`` to the additive identity."""
-        return apply_output_mask(y_dense, mask, complement,
-                                 self.semiring, self.ctx)
+        from .batched import coalesced_multiply
+        return coalesced_multiply(self, xs, output, None,
+                                  "tile_spmspv_batch",
+                                  "tile_spmspv_coo_side")
 
     def flops_useful(self, x: VectorLike) -> int:
         """Number of useful multiply-adds for this input (2 * matched
@@ -434,14 +439,6 @@ class TileSpMSpV:
         coo = (self._sharded.matrix.to_coo() if self._sharded is not None
                else self.hybrid.to_coo())
         return int(2 * np.count_nonzero(mask[coo.col]))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        if self._sharded is not None:
-            return (f"<TileSpMSpV {self.shape} nt={self.nt} "
-                    f"shards={self._sharded.matrix.n_shards}>")
-        return (f"<TileSpMSpV {self.shape} nt={self.nt} "
-                f"tiles={self.hybrid.tiled.n_nonempty_tiles} "
-                f"side_nnz={self.hybrid.side.nnz}>")
 
 
 def apply_output_mask(y_dense: np.ndarray, mask: VectorLike,

@@ -49,8 +49,8 @@ from ..semiring import PLUS_TIMES, Semiring
 from ..tiles.tiled_matrix import TiledMatrix
 from ..tiles.tiled_vector import TiledVector
 
-__all__ = ["tiled_kernel", "csc_tiled_kernel", "batched_tiled_kernel",
-           "batched_union_kernel", "coo_side_kernel"]
+__all__ = ["tiled_kernel", "csc_tiled_kernel", "batched_union_kernel",
+           "coo_side_kernel"]
 
 
 def _lane_utilization(nnz_per_active_tile: np.ndarray, warp: int = 32) -> float:
@@ -190,117 +190,13 @@ def tiled_kernel(A: TiledMatrix, x: TiledVector,
     return y_dense, counters
 
 
-def batched_tiled_kernel(A: TiledMatrix, xs, semiring: Semiring = PLUS_TIMES
-                         ) -> Tuple[np.ndarray, KernelCounters]:
-    """Batched Algorithm 4: one launch multiplies ``A`` against a batch
-    of tiled vectors.
-
-    The row-tile metadata scan — the fixed cost of the CSR form — is
-    paid **once** for the whole batch: a warp reads a tile's column
-    index and then tests all ``k`` ``x_ptr`` entries, doing payload
-    work only for the vectors whose tile is active.  This is the
-    multi-source pattern of batched BFS / Brandes betweenness (one
-    column of the frontier matrix per source).
-
-    Parameters
-    ----------
-    A:
-        The tiled matrix.
-    xs:
-        Sequence of :class:`TiledVector`, all of length ``A.shape[1]``
-        and tile size ``A.nt``.
-
-    Returns
-    -------
-    (Y, counters):
-        ``Y`` is a dense ``(k, m)`` accumulator (one row per input
-        vector) and ``counters`` the single merged launch record.
-    """
-    k = len(xs)
-    if k == 0:
-        raise ShapeError("batched SpMSpV needs at least one vector")
-    nt = A.nt
-    m = A.shape[0]
-    for x in xs:
-        if x.n != A.shape[1]:
-            raise ShapeError(
-                f"SpMSpV shape mismatch: A is {A.shape}, "
-                f"x has length {x.n}"
-            )
-        if x.nt != nt:
-            raise ShapeError(
-                f"tile size mismatch: matrix nt={nt}, vector nt={x.nt}"
-            )
-
-    Y = np.full((k, m), semiring.add_identity, dtype=semiring.dtype)
-    counters = KernelCounters(launches=1)
-    # the metadata scan happens once for the batch
-    counters.coalesced_read_bytes += A.n_nonempty_tiles * 16.0
-    counters.l2_read_bytes += A.n_nonempty_tiles * 8.0 * k  # k x_ptr tests
-
-    # loop-invariant structure, hoisted out of the per-vector loop
-    gather = A.column_gather()
-    rowidx = A.tile_rowidx()
-    tile_nnz = A.tile_nnz()
-    entry_rows = A.entry_rows()
-    local_col = A.local_col64()
-    idx_bytes = A.index_bytes_per_entry()
-    total_active_rows = 0.0
-    utilizations = []
-    for b, x in enumerate(xs):
-        active_cols = np.flatnonzero(x.x_ptr >= 0)
-        ptr = gather.coltile_tile_ptr
-        n_active = int((ptr[active_cols + 1] - ptr[active_cols]).sum())
-        if n_active == 0:
-            continue
-        if n_active == A.n_nonempty_tiles:     # dense frontier
-            nnz_t = tile_nnz
-            vals = A.values
-            lcol = local_col
-            grow = entry_rows
-            x_off_tiles = x.x_ptr[A.tile_colidx]
-            rowidx_act = rowidx
-        else:
-            if 4 * n_active >= A.n_nonempty_tiles:   # near-dense
-                tile_mask = x.x_ptr[A.tile_colidx] >= 0
-                tiles = np.flatnonzero(tile_mask)
-                entry_sel = np.repeat(tile_mask, tile_nnz)
-            else:
-                tiles = gather.active_tiles(active_cols)
-                entry_sel = gather_ranges(A.tile_nnz_ptr, tiles)
-            nnz_t = tile_nnz[tiles]
-            vals = A.values[entry_sel]
-            lcol = local_col[entry_sel]
-            grow = entry_rows[entry_sel]
-            x_off_tiles = x.x_ptr[A.tile_colidx[tiles]]
-            rowidx_act = rowidx[tiles]
-        xv = x.x_tile[np.repeat(x_off_tiles, nnz_t) * nt + lcol]
-        products = semiring.mul(vals, xv)
-        semiring.scatter_merge(Y[b], grow, products)
-
-        counters.coalesced_read_bytes += len(vals) * (8.0 + idx_bytes)
-        counters.l2_read_bytes += n_active * nt * 8.0
-        counters.shared_bytes += n_active * nt * 8.0
-        counters.flops += 2.0 * len(vals)
-        row_tiles_active = len(np.unique(rowidx_act))
-        counters.coalesced_write_bytes += row_tiles_active * nt * 8.0
-        total_active_rows += row_tiles_active
-        utilizations.append(_lane_utilization(nnz_t))
-
-    counters.warps = max(
-        1.0, float(max(total_active_rows, A.n_occupied_tile_rows())))
-    if utilizations:
-        counters.divergence = float(np.mean(utilizations))
-    counters.check()
-    return Y, counters
-
-
-def batched_union_kernel(A: TiledMatrix, xs, semiring: Semiring = PLUS_TIMES
-                         ) -> Tuple[np.ndarray, KernelCounters]:
+def batched_union_kernel(A: TiledMatrix, xs, semiring: Semiring = PLUS_TIMES,
+                         with_counters: bool = True,
+                         ) -> Tuple[np.ndarray, Optional[KernelCounters]]:
     """Coalesced batched Algorithm 4: one launch, one payload pass.
 
-    Where :func:`batched_tiled_kernel` amortises only the tile-metadata
-    scan, this kernel also coalesces the *payload*: the union of the
+    The tile-metadata scan is paid once for the batch, and so is the
+    *payload*: the union of the
     batch's active tile columns is computed once, every stored tile in
     that union streams its entries from global memory **once**, and the
     staged tile is applied to each vector that activates it (the
@@ -330,7 +226,9 @@ def batched_union_kernel(A: TiledMatrix, xs, semiring: Semiring = PLUS_TIMES
       (L2 + shared), flops, warp-shuffle word ops, and per-vector
       result-tile writes.
 
-    Returns ``(Y, counters)`` with ``Y`` a dense ``(k, m)`` accumulator.
+    Returns ``(Y, counters)`` with ``Y`` a dense ``(k, m)`` accumulator
+    (``with_counters=False`` skips accounting and returns ``None``
+    counters, like :func:`tiled_kernel`).
     """
     k = len(xs)
     if k == 0:
@@ -349,11 +247,12 @@ def batched_union_kernel(A: TiledMatrix, xs, semiring: Semiring = PLUS_TIMES
             )
 
     Y = np.full((k, m), semiring.add_identity, dtype=semiring.dtype)
-    counters = KernelCounters(launches=1)
-    # metadata scan once per batch; every vector's x_ptr is probed per
-    # stored tile (the k activity tests stay per-vector)
-    counters.coalesced_read_bytes += A.n_nonempty_tiles * 16.0
-    counters.l2_read_bytes += A.n_nonempty_tiles * 8.0 * k
+    counters = KernelCounters(launches=1) if with_counters else None
+    if counters is not None:
+        # metadata scan once per batch; every vector's x_ptr is probed
+        # per stored tile (the k activity tests stay per-vector)
+        counters.coalesced_read_bytes += A.n_nonempty_tiles * 16.0
+        counters.l2_read_bytes += A.n_nonempty_tiles * 8.0 * k
 
     # --- the union of active tile columns, computed once per batch
     gather = A.column_gather()
@@ -364,7 +263,8 @@ def batched_union_kernel(A: TiledMatrix, xs, semiring: Semiring = PLUS_TIMES
     ptr = gather.coltile_tile_ptr
     n_union = int((ptr[union_cols + 1] - ptr[union_cols]).sum())
     if n_union == 0:
-        counters.warps = max(1.0, A.n_tile_rows)
+        if counters is not None:
+            counters.warps = max(1.0, A.n_tile_rows)
         return Y, counters
 
     # --- gather the union payload ONCE (same three regimes as the
@@ -392,10 +292,10 @@ def batched_union_kernel(A: TiledMatrix, xs, semiring: Semiring = PLUS_TIMES
     u_rowidx = A.tile_rowidx()[tiles]
     u_tile_of_entry = np.repeat(np.arange(len(tiles), dtype=np.int64),
                                 u_nnz_t)
-
-    idx_bytes = A.index_bytes_per_entry()
-    # the shared-load discount: union payload streams in once per batch
-    counters.coalesced_read_bytes += len(u_vals) * (8.0 + idx_bytes)
+    if counters is not None:
+        # the shared-load discount: union payload streams in once
+        counters.coalesced_read_bytes += \
+            len(u_vals) * (8.0 + A.index_bytes_per_entry())
 
     # --- apply the staged union to every vector that activates it
     for b, x in enumerate(xs):
@@ -419,6 +319,8 @@ def batched_union_kernel(A: TiledMatrix, xs, semiring: Semiring = PLUS_TIMES
         xv = x.x_tile[np.repeat(x_off_tiles, nnz_t) * nt + lcol]
         products = semiring.mul(vals, xv)
         semiring.scatter_merge(Y[b], grow, products)
+        if counters is None:
+            continue
 
         # per-vector (non-shared) accounting
         counters.l2_read_bytes += n_active * nt * 8.0
@@ -428,6 +330,8 @@ def batched_union_kernel(A: TiledMatrix, xs, semiring: Semiring = PLUS_TIMES
         counters.coalesced_write_bytes += \
             len(np.unique(rowidx_act)) * nt * 8.0
 
+    if counters is None:
+        return Y, None
     counters.warps = float(max(1, A.n_occupied_tile_rows()))
     counters.divergence = _lane_utilization(u_nnz_t)
     counters.check()

@@ -47,14 +47,9 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.selection import SPMM_MERGE_PATH
-from ..core.spmm_kernels import (row_tile_imbalance,
-                                 spmm_merge_path_kernel,
-                                 spmm_row_warp_kernel)
-from ..core.spmspv_kernels import batched_union_kernel, tiled_kernel
-from ..gpusim import KernelCounters
 from ..runtime import OperatorPlan, PlanCache
 from ..semiring import Semiring
+from ..shards.engine import ShardResult, _shard_plan, execute_shard
 from ..shards.store import ResidentSetManager
 from ..tiles.tiled_matrix import TiledMatrix
 from .config import ParallelConfig
@@ -88,25 +83,6 @@ def _touch_pages(tiled: TiledMatrix) -> int:
     return touched
 
 
-@dataclass
-class ShardResult:
-    """One shard's finished work, as shipped back to the coordinator.
-
-    ``outs`` holds one ``(local_row_idx, values)`` pair per input
-    vector — already compressed to non-identity rows, so a process
-    backend pickles the strip's answer, not the strip.
-    """
-
-    sid: int
-    device: int                     # planned worker (the model's clock)
-    worker: str                     # who actually ran it (pid / index)
-    outs: List[Tuple[np.ndarray, np.ndarray]]
-    counters: Optional[KernelCounters]
-    loaded: int = 0
-    evicted: int = 0
-    prefetched: bool = False
-
-
 class WorkerSlice:
     """One worker's private store attachment, resident slice, plans."""
 
@@ -120,16 +96,15 @@ class WorkerSlice:
         self.resident.evict_callbacks.append(self._drop_plan)
         self.semiring = semiring
         self.pattern_only = bool(pattern_only)
-        self.cache = plan_cache
+        # a process worker has no shared cache: it keeps a private one
+        self.cache = plan_cache if plan_cache is not None else PlanCache()
         self.plan_token = plan_token
-        self._plans: Dict[int, OperatorPlan] = {}
         self._lock = threading.Lock()
         # load/evict bytes a prefetch caused, claimed by the compute
         # that consumes the shard (keeps the launch stream identical
         # with prefetch on or off)
         self._pending_loads: Dict[int, int] = {}
         self._pending_evicts: Dict[int, int] = {}
-        self._was_prefetched: set = set()
         self.prefetches = 0
 
     # ------------------------------------------------------------------
@@ -137,34 +112,7 @@ class WorkerSlice:
         return ("sharded-spmspv", self.plan_token, sid, "w", self.wid)
 
     def _drop_plan(self, sid: int) -> None:
-        self._plans.pop(sid, None)
-        if self.cache is not None:
-            self.cache.remove(self._plan_key(sid))
-
-    def _get_plan(self, sid: int, tiled: TiledMatrix) -> OperatorPlan:
-        from ..shards.engine import _warm_active_set
-
-        def build() -> OperatorPlan:
-            return OperatorPlan(
-                kind="sharded-spmspv", key=self._plan_key(sid),
-                data={"tiled": _warm_active_set(tiled)})
-
-        if self.cache is not None:
-            plan = self.cache.get_or_build(self._plan_key(sid), build,
-                                           pin=self.store)
-        else:
-            plan = self._plans.get(sid)
-            if plan is None:
-                plan = build()
-        self._plans[sid] = plan
-        return plan
-
-    def _execution_tiling(self, plan: OperatorPlan) -> TiledMatrix:
-        from ..shards.engine import _pattern_view
-        if not self.pattern_only:
-            return plan.data["tiled"]
-        return plan.lazy_get(
-            "pattern", lambda: _pattern_view(plan.data["tiled"]))
+        self.cache.remove(self._plan_key(sid))
 
     # ------------------------------------------------------------------
     def prefetch(self, sid: int) -> None:
@@ -181,74 +129,33 @@ class WorkerSlice:
             if evicted:
                 self._pending_evicts[sid] = \
                     self._pending_evicts.get(sid, 0) + evicted
-            self._was_prefetched.add(sid)
         _touch_pages(tiled)
         self.prefetches += 1
 
-    def run_shard(self, sid: int, xts, batched: bool,
-                  with_counters: bool, worker_label: str,
-                  spmm_selector=None) -> ShardResult:
-        """Execute one shard exactly as the sequential engine would.
-
-        ``spmm_selector`` switches the shard into SpMM mode: ``xts``
-        then holds one :class:`~repro.vectors.dense_block.DenseBlock`
-        and the selector picks row-per-warp vs merge-path on the
-        shard's own row-tile imbalance (cached on the shard plan, as
-        in the sequential engine).
-        """
-        sid = int(sid)
-        sr = self.semiring
+    def acquire_shard(self, sid: int):
+        """Fault the shard into this slice (claiming any bytes a
+        prefetch parked for it) and pin it and its plan — the host side
+        of :func:`~repro.shards.engine.execute_shard`."""
         with self._lock:
             tiled, loaded, evicted = self.resident.get(sid)
             loaded += self._pending_loads.pop(sid, 0)
             evicted += self._pending_evicts.pop(sid, 0)
-            prefetched = sid in self._was_prefetched
-            self._was_prefetched.discard(sid)
             self.resident.pin(sid)
         key = self._plan_key(sid)
         try:
-            plan = self._get_plan(sid, tiled)
-            if self.cache is not None:
-                self.cache.pin(key)
-            try:
-                A = self._execution_tiling(plan)
-                if spmm_selector is not None:
-                    imb = plan.lazy_get(
-                        "spmm_imbalance",
-                        lambda: row_tile_imbalance(A))
-                    fn = spmm_merge_path_kernel \
-                        if spmm_selector.choose_spmm(imb) \
-                        == SPMM_MERGE_PATH else spmm_row_warp_kernel
-                    Yb, counters = fn(A, xts[0], semiring=sr,
-                                      with_counters=with_counters)
-                    Ys = [Yb]
-                elif batched:
-                    Ys, counters = batched_union_kernel(
-                        A, xts, semiring=sr)
-                else:
-                    y, counters = tiled_kernel(
-                        A, xts[0], semiring=sr,
-                        with_counters=with_counters)
-                    Ys = [y]
-            finally:
-                if self.cache is not None:
-                    self.cache.unpin(key)
-        finally:
+            plan = self.cache.get_or_build(
+                key, lambda: _shard_plan(key, tiled), pin=self.store)
+        except BaseException:
             with self._lock:
                 self.resident.unpin(sid)
-        outs = []
-        for y_strip in Ys:
-            if y_strip.ndim == 2:
-                # SpMM strip: ship whole non-identity rows
-                idx = np.flatnonzero(
-                    np.any(~sr.is_identity(y_strip), axis=1))
-            else:
-                idx = np.flatnonzero(~sr.is_identity(y_strip))
-            outs.append((idx, y_strip[idx]))
-        return ShardResult(
-            sid=sid, device=self.wid, worker=worker_label, outs=outs,
-            counters=counters if with_counters else None,
-            loaded=loaded, evicted=evicted, prefetched=prefetched)
+            raise
+        self.cache.pin(key)
+        return plan, loaded, evicted
+
+    def release_shard(self, sid: int, plan: OperatorPlan) -> None:
+        self.cache.unpin(plan.key)
+        with self._lock:
+            self.resident.unpin(sid)
 
     def stats(self) -> Dict[str, int]:
         out = self.resident.stats()
@@ -288,9 +195,10 @@ def _run_chunk(slc: WorkerSlice, sids, xts, batched: bool,
         if depth > 0 and not overlap:
             for nxt in sids[i + 1:i + 1 + depth]:
                 slc.prefetch(nxt)
-        results.append(slc.run_shard(sid, xts, batched, with_counters,
-                                     worker_label,
-                                     spmm_selector=spmm_selector))
+        results.append(execute_shard(slc, int(sid), xts, batched,
+                                     with_counters, spmm_selector,
+                                     device=slc.wid,
+                                     worker=worker_label))
         progress["done"] = i + 1
     if walker is not None:
         walker.join(timeout=10.0)

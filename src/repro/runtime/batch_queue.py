@@ -36,6 +36,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional
 
+from ..errors import ShapeError
 from ..semiring import PLUS_TIMES, Semiring
 from .context import ExecutionContext
 
@@ -203,10 +204,13 @@ class BatchQueue:
         """Enqueue one multiply request; returns its ticket.
 
         The request may be dispatched before this returns (size or
-        latency budget hit) — check ``ticket.done``.
+        latency budget hit) — check ``ticket.done``.  A vector of the
+        wrong length raises :class:`~repro.errors.ShapeError` here and
+        is never enqueued.
         """
         if output not in ("sparse", "dense"):
             raise ValueError(f"unknown output mode {output!r}")
+        self.check_vector(x, semiring)
         ticket = BatchTicket(self, x, semiring, output)
         group = self._pending.setdefault(semiring, [])
         if not group:
@@ -217,6 +221,19 @@ class BatchQueue:
             self._dispatch(semiring)
         self._dispatch_overdue()
         return ticket
+
+    def check_vector(self, x, semiring: Semiring = PLUS_TIMES) -> None:
+        """Raise :class:`~repro.errors.ShapeError` unless ``x`` has the
+        matrix's column count.  :meth:`submit` checks before enqueueing,
+        so a wrong-length vector fails its own caller instead of the
+        batch it would have joined."""
+        n = self._engine(semiring).shape[1]
+        length = getattr(x, "n", None)
+        if length is None:
+            length = len(x)
+        if length != n:
+            raise ShapeError(f"vector length {length} != matrix columns "
+                             f"{n}")
 
     def flush(self, semiring: Optional[Semiring] = None) -> int:
         """Dispatch pending requests now; returns how many were

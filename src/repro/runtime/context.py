@@ -42,6 +42,9 @@ __all__ = ["ExecutionContext"]
 
 _MODES = ("modeled", "production")
 
+#: Keyword names of the kernels' in-place accumulator arguments.
+_ACCUMULATORS = ("y_dense", "Y")
+
 
 class ExecutionContext:
     """Execution state shared by an operator's kernel launches.
@@ -148,6 +151,32 @@ class ExecutionContext:
                                operator=self.operator, phase=phase,
                                tag=tag)
         return t.total_ms
+
+    def run(self, name: str, kernel: Callable, *args,
+            tag: Optional[str] = None, phase: Optional[str] = None,
+            **kwargs):
+        """Run one kernel and account for it as this context asks.
+
+        ``kernel(*args, **kwargs)`` must return ``(result, counters)``
+        and accept ``with_counters``.  It runs counters-on and its
+        launch is priced inline when :attr:`active`; otherwise it runs
+        counters-off, and production mode defers a closure that re-runs
+        it counters-on at :meth:`replay`.  The replay drops any
+        in-place accumulator argument (:data:`_ACCUMULATORS`) and runs
+        on a fresh one — counters never depend on it, and the closure
+        must not write into a result the caller already holds.
+        Returns the kernel's result.
+        """
+        result, counters = kernel(*args, with_counters=self.active,
+                                  **kwargs)
+        if counters is not None:
+            self.launch(name, counters, tag=tag, phase=phase)
+        elif self.production:
+            fresh = {k: v for k, v in kwargs.items()
+                     if k not in _ACCUMULATORS}
+            self.defer(name, lambda: kernel(*args, **fresh)[1],
+                       tag=tag, phase=phase)
+        return result
 
     def defer(self, name: str,
               counter_fn: Callable[[], KernelCounters],

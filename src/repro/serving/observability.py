@@ -46,7 +46,7 @@ class RequestRecord:
     semiring: Optional[str]
     submit_s: float
     done_s: Optional[float] = None
-    status: str = "pending"      # pending | ok | rejected
+    status: str = "pending"      # pending | ok | rejected | error
     batch_id: Optional[int] = None
     batch_size: Optional[int] = None
     launch_tag: Optional[str] = None
@@ -98,6 +98,11 @@ class RequestLog:
 
     def reject(self, rec: RequestRecord) -> None:
         rec.status = "rejected"
+
+    def fail(self, rec: RequestRecord, done_s: float) -> None:
+        """Close a request whose execution raised."""
+        rec.done_s = done_s
+        rec.status = "error"
 
     def get(self, request_id: int) -> RequestRecord:
         rec = self.records[request_id]

@@ -62,9 +62,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
+from ..core.spmspv import spmspv_plan_key
 from ..core.tilebfs import TileBFS
 from ..graphs.pagerank import pagerank
-from ..runtime import BatchQueue, ExecutionContext, matrix_token
+from ..runtime import BatchQueue, ExecutionContext
 from ..semiring import PLUS_TIMES, Semiring
 from .admission import AdmissionController
 from .clock import VirtualClock
@@ -288,15 +289,15 @@ class GraphQueryService:
         """
         served = self._lookup(name)
         served.queue.warm(semiring)
-        key = ("tilespmspv", matrix_token(served.matrix), served.nt,
-               served.extract_threshold, semiring, "csr")
+        key = spmspv_plan_key(served.matrix, served.nt,
+                              served.extract_threshold, semiring)
         return self.tenants.pin(served.tenant, key)
 
     def unpin_plans(self, name: str,
                     semiring: Semiring = PLUS_TIMES) -> bool:
         served = self._lookup(name)
-        key = ("tilespmspv", matrix_token(served.matrix), served.nt,
-               served.extract_threshold, semiring, "csr")
+        key = spmspv_plan_key(served.matrix, served.nt,
+                              served.extract_threshold, semiring)
         return self.tenants.unpin(served.tenant, key)
 
     def _lookup(self, name: str) -> _ServedMatrix:
@@ -377,6 +378,7 @@ class GraphQueryService:
     def _submit_multiply(self, query: MultiplyQuery,
                          tenant: Optional[str]) -> ServingTicket:
         served = self._lookup(query.matrix)
+        served.queue.check_vector(query.x, query.semiring)
         rec = self.log.open(tenant or served.tenant, "multiply",
                             query.matrix, query.semiring.name,
                             self._clock())
@@ -437,7 +439,7 @@ class GraphQueryService:
         try:
             ticket.value = run(served, query)
         except Exception:
-            rec.status = "error"
+            self.log.fail(rec, self._clock())
             raise
         modeled_ms = self.ctx.elapsed_ms - elapsed0
         done_s = self._complete_time(modeled_ms)

@@ -19,6 +19,12 @@ runs four modeled stages, all visible on the device timeline:
    result once).  The shard-count-invariance check recomputes this
    formula from the timeline tags and asserts equality.
 
+``multiply_batch`` and ``multiply_block`` run the same four stages
+with the union kernel (``sharded_spmspv_batch``) or the selector's SpMM
+kernel (``sharded_spmm_shard``): all three share one strip loop, and
+:func:`execute_shard` is the per-shard step the sequential loop and the
+pool workers both run.
+
 Per-shard preprocessing (the warmed active-set accessors) is cached in
 the plan cache under ``("sharded-spmspv", matrix-id, shard-id)``; the
 entry is pinned while the shard's kernel is in flight and invalidated
@@ -44,12 +50,18 @@ clocks to price the overlap.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from dataclasses import dataclass
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.spmspv import (_warm_active_set, apply_output_mask,
-                           as_tiled_vector)
+from ..core.selection import SPMM_MERGE_PATH, KernelSelector
+from ..core.spmm import as_dense_block
+from ..core.spmm_kernels import (row_tile_imbalance, spmm_merge_path_kernel,
+                                 spmm_row_warp_kernel)
+from ..core.spmspv import (VectorLike, _warm_active_set,
+                           apply_output_mask, as_tiled_vector,
+                           shape_output, sparsify)
 from ..core.spmspv_kernels import batched_union_kernel, tiled_kernel
 from ..errors import ShapeError
 from ..gpusim import Device, KernelCounters
@@ -62,9 +74,7 @@ from ..vectors.sparse_vector import SparseVector
 from .scheduler import ShardScheduler
 from .sharded_matrix import ShardedTiledMatrix
 
-__all__ = ["ShardedSpMSpV"]
-
-VectorLike = Union[SparseVector, TiledVector, np.ndarray]
+__all__ = ["ShardedSpMSpV", "ShardResult", "execute_shard"]
 
 
 def _load_counters(loaded_bytes: int, evicted_bytes: int
@@ -108,6 +118,86 @@ def _pattern_view(tiled: TiledMatrix) -> TiledMatrix:
         tiled.shape, tiled.nt, tiled.tile_ptr, tiled.tile_colidx,
         tiled.tile_nnz_ptr, tiled.local_row, tiled.local_col,
         np.ones(tiled.nnz, dtype=np.float64), validate=False))
+
+
+def _shard_plan(key, tiled: TiledMatrix) -> OperatorPlan:
+    """A shard's plan: its tiling with the active-set caches warmed."""
+    return OperatorPlan(kind="sharded-spmspv", key=key,
+                        data={"tiled": _warm_active_set(tiled)})
+
+
+@dataclass
+class ShardResult:
+    """One shard's finished work, as shipped back to the strip loop.
+
+    ``outs`` holds one ``(local_row_idx, values)`` pair per output
+    accumulator — already compressed to non-identity rows, so a process
+    backend pickles the strip's answer, not the strip.
+    """
+
+    sid: int
+    device: int                     # planned worker (the model's clock)
+    worker: str                     # who actually ran it (pid / index)
+    outs: List[Tuple[np.ndarray, np.ndarray]]
+    counters: Optional[KernelCounters]
+    loaded: int = 0
+    evicted: int = 0
+
+
+def execute_shard(host, sid: int, xts, batched: bool, with_counters: bool,
+                  spmm_selector=None, device: int = 0,
+                  worker: str = "") -> ShardResult:
+    """Run one shard start to finish — the step the sequential strip
+    loop and every pool worker share.
+
+    ``host`` owns the shard's residency and plan: the
+    :class:`ShardedSpMSpV` itself (the matrix's resident set, the
+    engine's plan cache) or a pool worker's
+    :class:`~repro.parallel.executor.WorkerSlice`.  Its
+    ``acquire_shard(sid)`` returns ``(plan, loaded_bytes,
+    evicted_bytes)`` with the shard resident and both shard and plan
+    pinned; ``release_shard(sid, plan)`` unpins them.
+
+    The kernel: with ``spmm_selector`` the selector's SpMM kernel on the
+    shard's own row-tile imbalance (``xts`` holds one dense block);
+    with ``batched`` the union kernel over the batch; otherwise
+    Algorithm 4 on ``xts[0]``.
+    """
+    sr = host.semiring
+    plan, loaded, evicted = host.acquire_shard(sid)
+    try:
+        A = plan.data["tiled"]
+        if host.pattern_only:
+            A = plan.lazy_get(
+                "pattern", lambda: _pattern_view(plan.data["tiled"]))
+        if spmm_selector is not None:
+            imb = plan.lazy_get("spmm_imbalance",
+                                lambda: row_tile_imbalance(A))
+            fn = spmm_merge_path_kernel \
+                if spmm_selector.choose_spmm(imb) == SPMM_MERGE_PATH \
+                else spmm_row_warp_kernel
+            Y, counters = fn(A, xts[0], semiring=sr,
+                             with_counters=with_counters)
+            Ys = [Y]
+        elif batched:
+            Ys, counters = batched_union_kernel(
+                A, xts, semiring=sr, with_counters=with_counters)
+        else:
+            y, counters = tiled_kernel(A, xts[0], semiring=sr,
+                                       with_counters=with_counters)
+            Ys = [y]
+    finally:
+        host.release_shard(sid, plan)
+    outs = []
+    for y in Ys:
+        occupied = ~sr.is_identity(y)
+        if y.ndim == 2:
+            # SpMM strip: ship whole non-identity rows
+            occupied = occupied.any(axis=1)
+        idx = np.flatnonzero(occupied)
+        outs.append((idx, y[idx]))
+    return ShardResult(sid=sid, device=device, worker=worker, outs=outs,
+                       counters=counters, loaded=loaded, evicted=evicted)
 
 
 class ShardedSpMSpV:
@@ -210,30 +300,20 @@ class ShardedSpMSpV:
     def _invalidate_plan(self, sid: int) -> None:
         self.cache.remove(self._plan_key(sid))
 
-    def _shard_plan(self, sid: int, tiled: TiledMatrix) -> OperatorPlan:
-        key = self._plan_key(sid)
-        return self.cache.get_or_build(
-            key,
-            lambda: OperatorPlan(
-                kind="sharded-spmspv", key=key,
-                data={"tiled": _warm_active_set(tiled)}),
-            pin=self.matrix)
-
-    def _execution_tiling(self, plan: OperatorPlan) -> TiledMatrix:
-        if not self.pattern_only:
-            return plan.data["tiled"]
-        return plan.lazy_get(
-            "pattern", lambda: _pattern_view(plan.data["tiled"]))
-
-    def _fault_shard(self, sid: int,
-                     tag: Optional[str]) -> TiledMatrix:
-        """Bring the shard resident, charging any load/evict traffic."""
+    def acquire_shard(self, sid: int):
+        """Fault the shard in and pin it and its plan (the host side of
+        :func:`execute_shard`)."""
         tiled, loaded, evicted = self.matrix.shard(sid)
-        if loaded or evicted:
-            self.ctx.launch("shard_load",
-                            _load_counters(loaded, evicted),
-                            tag=tag, phase="load")
-        return tiled
+        key = self._plan_key(sid)
+        plan = self.cache.get_or_build(
+            key, lambda: _shard_plan(key, tiled), pin=self.matrix)
+        self.cache.pin(key)
+        self.matrix.resident.pin(sid)
+        return plan, loaded, evicted
+
+    def release_shard(self, sid: int, plan: OperatorPlan) -> None:
+        self.matrix.resident.unpin(sid)
+        self.cache.unpin(plan.key)
 
     def _as_tiled_vector(self, x: VectorLike) -> TiledVector:
         return as_tiled_vector(x, self.matrix.nt,
@@ -282,59 +362,97 @@ class ShardedSpMSpV:
                 seeded += 1
         return seeded
 
-    def _execute_parallel(self, executed, active_tile_cols, xts,
-                          targets, batched: bool, accounting: bool,
-                          caller_tag: Optional[str],
-                          spmm_selector=None) -> None:
-        """Run the per-shard stage on the worker pool.
+    # ------------------------------------------------------------------
+    # the strip loop
+    # ------------------------------------------------------------------
+    def _strip_loop(self, xts, active_cols: np.ndarray, targets, width: int,
+                    batched: bool = False, spmm_selector=None,
+                    tag: Optional[str] = None) -> None:
+        """Schedule, execute, merge, combine — the skeleton of every
+        sharded multiply.
 
-        Results merge into ``targets`` (one accumulator per input
-        vector) the moment they land — order-independent because row
-        strips are disjoint.  Launch records are then re-emitted in
-        ascending shard order, so the timeline is deterministic and
-        identical to the sequential engine's modulo the ``device=`` /
-        ``worker=`` tag parts.
-
-        With ``spmm_selector`` set, ``xts`` holds one dense block and
-        each shard result ships a 2-D row slab — assigned (not
-        scatter-merged) into the block accumulator, since every output
-        row belongs to exactly one strip.
+        ``targets`` holds one identity-filled accumulator per output
+        (a 2-D block accumulator for SpMM); ``width`` is the number of
+        output values per strip row, which scales the combiner's byte
+        formula.  With more than one worker the executed shards run on
+        the pool and merge the moment they land (row strips are
+        disjoint, so landing order cannot change a bit); their launch
+        records are re-emitted in ascending shard order with
+        ``device=`` / ``worker=`` tag parts, so the timeline is
+        deterministic and matches the sequential one modulo those
+        parts.  Counters stay inline even in production mode (the
+        launch defers the priced record): replaying them later would
+        have to re-fault evicted shards.
         """
-        sr = self.semiring
-        plan = self._work.plan(executed, active_tile_cols)
-        self._last_plan = plan
-        results = {}
-        for res in self._executor.run(plan, xts, batched,
-                                      with_counters=accounting,
-                                      spmm_selector=spmm_selector):
-            lo, _hi = self.matrix.strips[res.sid]
-            for b, (idx, vals) in enumerate(res.outs):
-                if idx.size:
-                    if vals.ndim == 2:
-                        targets[b][idx + lo] = vals
-                    else:
-                        sr.scatter_merge(targets[b], idx + lo, vals)
-            results[res.sid] = res
-        if not accounting:
-            return
+        accounting = self.ctx.accounting
+        executed = self.scheduler.schedule(active_cols)
+        if accounting:
+            self.ctx.launch("sharded_schedule",
+                            self.scheduler.schedule_counters(), tag=tag,
+                            phase="schedule")
         if spmm_selector is not None:
             name, phase = "sharded_spmm_shard", "spmm"
         elif batched:
             name, phase = "sharded_spmspv_batch", "batch"
         else:
             name, phase = "sharded_spmspv_shard", "multiply"
-        meta_bytes = float(self.matrix.metadata_nbytes_per_shard())
-        for sid in sorted(results):
-            res = results[sid]
-            tag = (f"{_shard_tag(sid, caller_tag)}"
-                   f";device={res.device};worker={res.worker}")
-            if res.loaded or res.evicted:
-                self.ctx.launch("shard_load",
-                                _load_counters(res.loaded, res.evicted),
-                                tag=tag, phase="load")
-            counters = res.counters
-            counters.coalesced_read_bytes += meta_bytes
-            self.ctx.launch(name, counters, tag=tag, phase=phase)
+        cfg = self.parallel
+        if cfg.workers > 1 and executed.size:
+            self._ensure_parallel(cfg)
+            self._last_plan = self._work.plan(executed, active_cols)
+            landed = {}
+            for res in self._executor.run(self._last_plan, xts, batched,
+                                          with_counters=accounting,
+                                          spmm_selector=spmm_selector):
+                self._merge(targets, res)
+                landed[res.sid] = res
+            if accounting:
+                for sid in sorted(landed):
+                    res = landed[sid]
+                    self._emit_shard(
+                        res, name, phase,
+                        f"{_shard_tag(sid, tag)};device={res.device}"
+                        f";worker={res.worker}")
+        else:
+            for sid in executed:
+                res = execute_shard(self, int(sid), xts, batched,
+                                    accounting, spmm_selector)
+                self._merge(targets, res)
+                if accounting:
+                    self._emit_shard(res, name, phase,
+                                     _shard_tag(res.sid, tag))
+        if accounting:
+            merged_rows = int(sum(self.matrix.strip_rows(int(s))
+                                  for s in executed))
+            self.ctx.launch(
+                "sharded_combine",
+                _combine_counters(merged_rows * width,
+                                  targets[0].dtype.itemsize),
+                tag=tag, phase="combine")
+
+    def _merge(self, targets, res: ShardResult) -> None:
+        """Fold one shard's rows into the accumulators: scatter-merged
+        into vector accumulators, assigned as a row slab into a block
+        accumulator (every output row belongs to exactly one strip)."""
+        lo, _hi = self.matrix.strips[res.sid]
+        for target, (idx, vals) in zip(targets, res.outs):
+            if idx.size:
+                if vals.ndim == 2:
+                    target[idx + lo] = vals
+                else:
+                    self.semiring.scatter_merge(target, idx + lo, vals)
+
+    def _emit_shard(self, res: ShardResult, name: str, phase: str,
+                    tag: str) -> None:
+        """One executed shard's launch records: its resident-set
+        traffic, then its kernel plus the shard's metadata charge."""
+        if res.loaded or res.evicted:
+            self.ctx.launch("shard_load",
+                            _load_counters(res.loaded, res.evicted),
+                            tag=tag, phase="load")
+        res.counters.coalesced_read_bytes += float(
+            self.matrix.metadata_nbytes_per_shard())
+        self.ctx.launch(name, res.counters, tag=tag, phase=phase)
 
     def multi_timeline(self, n_devices: Optional[int] = None):
         """The multi-device view of the recorded timeline.
@@ -375,72 +493,11 @@ class ShardedSpMSpV:
                 f"SpMSpV shape mismatch: A is {self.matrix.shape}, "
                 f"x has length {xt.n}"
             )
-        accounting = self.ctx.accounting
-        active_cols = np.flatnonzero(xt.x_ptr >= 0)
-        executed = self.scheduler.schedule(active_cols)
-        if accounting:
-            self.ctx.launch("sharded_schedule",
-                            self.scheduler.schedule_counters(),
-                            phase="schedule")
-
         y = np.full(m, sr.add_identity, dtype=sr.dtype)
-        merged_rows = int(sum(hi - lo for lo, hi in
-                              (self.matrix.strips[int(s)]
-                               for s in executed)))
-        cfg = self.parallel
-        if cfg.workers > 1 and executed.size:
-            self._ensure_parallel(cfg)
-            self._execute_parallel(executed, active_cols, [xt], [y],
-                                   batched=False,
-                                   accounting=accounting,
-                                   caller_tag=None)
-        else:
-            for sid in executed:
-                sid = int(sid)
-                # counters stay inline even in production (launch
-                # defers the priced record): replaying them later would
-                # have to re-fault evicted shards
-                tag = _shard_tag(sid) if accounting else None
-                tiled = self._fault_shard(sid, tag)
-                key = self._plan_key(sid)
-                plan = self._shard_plan(sid, tiled)
-                self.cache.pin(key)
-                self.matrix.resident.pin(sid)
-                try:
-                    A = self._execution_tiling(plan)
-                    y_strip, counters = tiled_kernel(
-                        A, xt, semiring=sr, with_counters=accounting)
-                    if accounting:
-                        counters.coalesced_read_bytes += float(
-                            self.matrix.metadata_nbytes_per_shard())
-                        self.ctx.launch("sharded_spmspv_shard",
-                                        counters, tag=tag,
-                                        phase="multiply")
-                finally:
-                    self.matrix.resident.unpin(sid)
-                    self.cache.unpin(key)
-                lo, _hi = self.matrix.strips[sid]
-                idx = np.flatnonzero(~sr.is_identity(y_strip))
-                if idx.size:
-                    sr.scatter_merge(y, idx + lo, y_strip[idx])
-        if accounting:
-            self.ctx.launch(
-                "sharded_combine",
-                _combine_counters(merged_rows, y.dtype.itemsize),
-                phase="combine")
-
+        self._strip_loop([xt], np.flatnonzero(xt.x_ptr >= 0), [y], 1)
         if mask is not None:
             y = apply_output_mask(y, mask, mask_complement, sr, self.ctx)
-        if output == "dense":
-            return y
-        idx = np.flatnonzero(~sr.is_identity(y))
-        sv = SparseVector(m, idx, y[idx])
-        if output == "sparse":
-            return sv
-        return TiledVector.from_sparse(sv.indices, sv.values, sv.n,
-                                       self.matrix.nt,
-                                       fill=float(sr.add_identity),
-                                       dtype=sr.dtype)
+        return shape_output(y, output, sr, self.matrix.nt)
 
     def multiply_batch(self, xs, output: str = "sparse",
                        tag: Optional[str] = None):
@@ -464,66 +521,12 @@ class ShardedSpMSpV:
         union_active = np.zeros(xts[0].x_ptr.shape[0], dtype=bool)
         for xt in xts:
             union_active |= xt.x_ptr >= 0
-        accounting = self.ctx.accounting
-        executed = self.scheduler.schedule(np.flatnonzero(union_active))
-        if accounting:
-            self.ctx.launch("sharded_schedule",
-                            self.scheduler.schedule_counters(), tag=tag,
-                            phase="schedule")
-
-        k = len(xts)
-        Y = np.full((k, m), sr.add_identity, dtype=sr.dtype)
-        merged_rows = int(sum(hi - lo for lo, hi in
-                              (self.matrix.strips[int(s)]
-                               for s in executed)))
-        cfg = self.parallel
-        if cfg.workers > 1 and executed.size:
-            self._ensure_parallel(cfg)
-            self._execute_parallel(executed,
-                                   np.flatnonzero(union_active),
-                                   xts, [Y[b] for b in range(k)],
-                                   batched=True, accounting=accounting,
-                                   caller_tag=tag)
-        else:
-            for sid in executed:
-                sid = int(sid)
-                shard_tag = _shard_tag(sid, tag) if accounting else None
-                tiled = self._fault_shard(sid, shard_tag)
-                key = self._plan_key(sid)
-                plan = self._shard_plan(sid, tiled)
-                self.cache.pin(key)
-                self.matrix.resident.pin(sid)
-                try:
-                    A = self._execution_tiling(plan)
-                    Ys, counters = batched_union_kernel(A, xts,
-                                                        semiring=sr)
-                    if accounting:
-                        counters.coalesced_read_bytes += float(
-                            self.matrix.metadata_nbytes_per_shard())
-                        self.ctx.launch("sharded_spmspv_batch",
-                                        counters, tag=shard_tag,
-                                        phase="batch")
-                finally:
-                    self.matrix.resident.unpin(sid)
-                    self.cache.unpin(key)
-                lo, _hi = self.matrix.strips[sid]
-                for b in range(k):
-                    idx = np.flatnonzero(~sr.is_identity(Ys[b]))
-                    if idx.size:
-                        sr.scatter_merge(Y[b], idx + lo, Ys[b][idx])
-        if accounting:
-            self.ctx.launch(
-                "sharded_combine",
-                _combine_counters(merged_rows * k, Y.dtype.itemsize),
-                tag=tag, phase="combine")
-
+        Y = np.full((len(xts), m), sr.add_identity, dtype=sr.dtype)
+        self._strip_loop(xts, np.flatnonzero(union_active), list(Y),
+                         len(xts), batched=True, tag=tag)
         if output == "dense":
             return Y
-        out: List[SparseVector] = []
-        for b in range(k):
-            idx = np.flatnonzero(~sr.is_identity(Y[b]))
-            out.append(SparseVector(m, idx, Y[b][idx]))
-        return out
+        return [sparsify(y, sr) for y in Y]
 
     def multiply_block(self, X, output: str = "dense",
                        tag: Optional[str] = None, selector=None):
@@ -538,11 +541,6 @@ class ShardedSpMSpV:
         bit-identical to each other, and column ``j`` of the result is
         bit-identical to :meth:`multiply` on column ``j`` of the block.
         """
-        from ..core.selection import SPMM_MERGE_PATH, KernelSelector
-        from ..core.spmm import as_dense_block
-        from ..core.spmm_kernels import (row_tile_imbalance,
-                                         spmm_merge_path_kernel,
-                                         spmm_row_warp_kernel)
         if output not in ("dense", "sparse"):
             raise ShapeError(f"unknown output mode {output!r}")
         if selector is None:
@@ -556,7 +554,6 @@ class ShardedSpMSpV:
                 f"SpMM shape mismatch: A is {self.matrix.shape}, "
                 f"X has {Xb.n} rows"
             )
-        accounting = self.ctx.accounting
         # a tile column is active when any column of the block has a
         # non-sentinel value in it — the same activity test the SpMM
         # fold applies per column, unioned across the block
@@ -565,73 +562,12 @@ class ShardedSpMSpV:
             active = np.any(~np.isnan(tiles), axis=(1, 2))
         else:
             active = np.any(tiles != Xb.fill, axis=(1, 2))
-        active_cols = np.flatnonzero(active)
-        executed = self.scheduler.schedule(active_cols)
-        if accounting:
-            self.ctx.launch("sharded_schedule",
-                            self.scheduler.schedule_counters(), tag=tag,
-                            phase="schedule")
-
         Y = np.full((m, Xb.B), sr.add_identity, dtype=sr.dtype)
-        merged_rows = int(sum(hi - lo for lo, hi in
-                              (self.matrix.strips[int(s)]
-                               for s in executed)))
-        cfg = self.parallel
-        if cfg.workers > 1 and executed.size:
-            self._ensure_parallel(cfg)
-            self._execute_parallel(executed, active_cols, [Xb], [Y],
-                                   batched=False,
-                                   accounting=accounting,
-                                   caller_tag=tag,
-                                   spmm_selector=selector)
-        else:
-            for sid in executed:
-                sid = int(sid)
-                shard_tag = _shard_tag(sid, tag) if accounting else None
-                tiled = self._fault_shard(sid, shard_tag)
-                key = self._plan_key(sid)
-                plan = self._shard_plan(sid, tiled)
-                self.cache.pin(key)
-                self.matrix.resident.pin(sid)
-                try:
-                    A = self._execution_tiling(plan)
-                    imb = plan.lazy_get(
-                        "spmm_imbalance",
-                        lambda A=A: row_tile_imbalance(A))
-                    fn = spmm_merge_path_kernel \
-                        if selector.choose_spmm(imb) \
-                        == SPMM_MERGE_PATH else spmm_row_warp_kernel
-                    Y_strip, counters = fn(A, Xb, semiring=sr,
-                                           with_counters=accounting)
-                    if accounting:
-                        counters.coalesced_read_bytes += float(
-                            self.matrix.metadata_nbytes_per_shard())
-                        self.ctx.launch("sharded_spmm_shard",
-                                        counters, tag=shard_tag,
-                                        phase="spmm")
-                finally:
-                    self.matrix.resident.unpin(sid)
-                    self.cache.unpin(key)
-                lo, _hi = self.matrix.strips[sid]
-                idx = np.flatnonzero(
-                    np.any(~sr.is_identity(Y_strip), axis=1))
-                if idx.size:
-                    Y[idx + lo] = Y_strip[idx]
-        if accounting:
-            self.ctx.launch(
-                "sharded_combine",
-                _combine_counters(merged_rows * Xb.B,
-                                  Y.dtype.itemsize),
-                tag=tag, phase="combine")
-
+        self._strip_loop([Xb], np.flatnonzero(active), [Y], Xb.B,
+                         spmm_selector=selector, tag=tag)
         if output == "dense":
             return Y
-        out: List[SparseVector] = []
-        for j in range(Xb.B):
-            col = Y[:, j]
-            idx = np.flatnonzero(~sr.is_identity(col))
-            out.append(SparseVector(m, idx, col[idx].copy()))
-        return out
+        return [sparsify(Y[:, j], sr) for j in range(Xb.B)]
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

@@ -13,9 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import (batched_tiled_kernel, coo_side_kernel,
-                        csc_tiled_kernel,
-                        reference_batched_tiled_kernel,
+from repro.core import (coo_side_kernel, csc_tiled_kernel,
                         reference_coo_side_kernel,
                         reference_csc_tiled_kernel,
                         reference_tiled_kernel, tiled_kernel)
@@ -75,17 +73,6 @@ def test_csc_kernel_equivalence(m, n, nt, density):
     y_new, c_new = csc_tiled_kernel(At, x)
     y_ref, c_ref = reference_csc_tiled_kernel(At, x)
     assert_y_identical(y_new, y_ref)
-    assert_counters_identical(c_new, c_ref)
-
-
-@pytest.mark.parametrize("m,n,nt", [(128, 96, 4), (200, 200, 16)])
-def test_batched_kernel_equivalence(m, n, nt):
-    A = TiledMatrix.from_dense(random_dense(m, n, 0.08, seed=7), nt)
-    xs = [frontier(n, d, seed=b, nt=nt)
-          for b, d in enumerate([0.0, 0.005, 0.05, 1.0])]
-    Y_new, c_new = batched_tiled_kernel(A, xs)
-    Y_ref, c_ref = reference_batched_tiled_kernel(A, xs)
-    assert_y_identical(Y_new, Y_ref)
     assert_counters_identical(c_new, c_ref)
 
 

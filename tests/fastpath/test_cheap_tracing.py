@@ -9,11 +9,13 @@ directly by monkeypatching the construction sites.
 """
 
 import numpy as np
-import pytest
 
+import repro.core.spmm_kernels as spmm_kernels
 import repro.core.spmspv_kernels as spmspv_kernels
 import repro.fastpath.fused_bfs as fused_bfs
 import repro.shards.engine as shards_engine
+from repro.core.batched import BatchedSpMSpV
+from repro.core.spmm import TileSpMM
 from repro.core.spmspv import TileSpMSpV
 from repro.core.spmspv_kernels import (coo_side_kernel, csc_tiled_kernel,
                                        tiled_kernel)
@@ -82,6 +84,56 @@ def test_multiply_builds_no_counters_when_off(monkeypatch):
     assert not calls, "counters built with no device attached"
     op_on.multiply(x)
     assert calls, "counters-on run must construct counters"
+
+
+def run_family(coo, device):
+    """One call of every in-core kernel method over a shared context;
+    returns copies of the dense results."""
+    xs = [sparse_x(120, 20, seed=s) for s in (1, 2, 3)]
+    outs = [
+        BatchedSpMSpV(coo, nt=16, device=device).multiply_batch(
+            xs, output="dense", tag="b=0"),
+        TileSpMSpV(coo, nt=16, device=device).multiply_batch(
+            xs, output="dense"),
+        TileSpMM(coo, nt=16, device=device).multiply_block(
+            xs, output="dense", tag="b=1"),
+        TileSpMSpV(coo, nt=16, mode="csc", device=device).multiply(
+            xs[0], output="dense"),
+        TileSpMSpV(coo, nt=16, device=device).multiply_transpose(
+            xs[1], output="dense"),
+    ]
+    return outs
+
+
+def test_batch_and_block_build_no_counters_when_off(monkeypatch):
+    coo = random_coo(120, 120, density=0.05, seed=4)
+    xs = [sparse_x(120, 20, seed=s) for s in (1, 2)]
+    ops = [BatchedSpMSpV(coo, nt=16), TileSpMSpV(coo, nt=16),
+           TileSpMM(coo, nt=16)]
+    assert ops[0].hybrid.side.nnz, "the side pass must be exercised"
+    calls = counting(monkeypatch, spmspv_kernels, "KernelCounters")
+    calls += counting(monkeypatch, spmm_kernels, "KernelCounters")
+    ops[0].multiply_batch(xs)
+    ops[1].multiply_batch(xs)
+    ops[2].multiply_block(xs)
+    assert not calls, "counters built with no device attached"
+
+
+def test_production_replay_matches_modeled_run():
+    coo = random_coo(120, 120, density=0.05, seed=4)
+    dev = Device()
+    want = run_family(coo, dev)
+    ctx = ExecutionContext(mode="production")
+    got = run_family(coo, ctx)
+    held = [y.copy() for y in got]
+    replayed = ctx.replay()
+    assert [(r.name, r.tag, r.counters) for r in replayed.timeline] == \
+        [(r.name, r.tag, r.counters) for r in dev.timeline]
+    for y, y_held, y_want in zip(got, held, want):
+        # replay re-runs kernels on fresh accumulators: the results the
+        # calls returned are untouched
+        assert np.array_equal(y, y_held, equal_nan=True)
+        assert np.array_equal(y, y_want, equal_nan=True)
 
 
 def test_fused_bfs_defers_closures_only_in_production(monkeypatch):

@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import TileSpMSpV
+from repro.errors import ShapeError
 from repro.formats import COOMatrix
 from repro.gpusim import Device
+from repro.matrices import erdos_renyi
 from repro.runtime import BatchQueue, ExecutionContext, Tracer
 from repro.semiring import MIN_PLUS, PLUS_TIMES
 from repro.vectors import SparseVector
@@ -261,3 +263,29 @@ def test_batch_size_one_reproduces_single_path(seeds, semiring):
                 getattr(se.counters, f.name), f.name
     # and therefore the device timelines agree to the microsecond
     assert queue_ctx.elapsed_ms == single_ctx.elapsed_ms
+
+
+def test_wrong_length_vector_fails_only_its_caller():
+    """A bad request is rejected at submit; its would-be batchmates
+    still dispatch, bit-identical to a batch that never saw it."""
+    A = erdos_renyi(256, 4)
+
+    def good(seed):
+        r = np.random.default_rng(seed)
+        idx = np.sort(r.choice(256, size=10, replace=False))
+        return SparseVector(256, idx, 1.0 + r.random(10))
+
+    q = BatchQueue(A, max_batch=3)
+    t1, t2 = q.submit(good(1)), q.submit(good(2))
+    with pytest.raises(ShapeError):
+        q.submit(SparseVector(200, np.array([3]), np.array([1.0])))
+    assert q.pending == 2 and not t1.done
+    q.flush()
+
+    clean = BatchQueue(A, max_batch=3)
+    r1, r2 = clean.submit(good(1)), clean.submit(good(2))
+    clean.flush()
+    for t, r in ((t1, r1), (t2, r2)):
+        assert t.done and t.batch_size == 2
+        assert np.array_equal(t.result().indices, r.result().indices)
+        assert np.array_equal(t.result().values, r.result().values)

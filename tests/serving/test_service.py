@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from repro.core import TileBFS, TileSpMSpV
+from repro.errors import ShapeError
 from repro.formats import COOMatrix
 from repro.gpusim import Device
 from repro.graphs import pagerank
 from repro.runtime import Tracer
-from repro.semiring import MIN_PLUS
+from repro.semiring import MIN_PLUS, PLUS_TIMES
 from repro.serving import (BFSQuery, GraphQueryService, MultiplyQuery,
                            PageRankQuery, UnknownMatrixError,
                            VirtualClock)
@@ -65,6 +66,15 @@ class TestRegistration:
         assert svc.tenants.pinned("default") == 1
         assert svc.unpin_plans("pinned") is True
         assert svc.tenants.pinned("default") == 0
+
+
+    def test_pin_plans_pins_the_engine_plan(self, coo):
+        svc = make_service(coo)
+        assert svc.pin_plans("m") is True
+        served = svc._lookup("m")
+        engine = served.queue._engine(PLUS_TIMES)
+        assert svc.tenants.partition(served.tenant).is_pinned(
+            engine._plan.key)
 
 
 class TestQueryPaths:
@@ -264,6 +274,20 @@ class TestObservability:
         assert evs
         assert t.record.seq_end - t.record.seq_start == len(evs)
         assert all("bfs" in e.name for e in evs)
+
+    def test_wrong_length_multiply_opens_no_record(self, coo):
+        svc = make_service(coo)
+        with pytest.raises(ShapeError):
+            svc.submit_nowait(MultiplyQuery("m", np.ones(N + 5)))
+        assert len(svc.log) == 0 and svc.pending == 0
+
+    def test_failed_direct_query_closes_its_record(self, coo):
+        svc = make_service(coo)
+        with pytest.raises(Exception):
+            svc.submit_nowait(BFSQuery("m", 10**6))
+        rec = svc.log.records[-1]
+        assert rec.status == "error"
+        assert rec.done_s is not None
 
     def test_stats_shape(self, coo):
         svc = make_service(coo, max_batch=2)
