@@ -37,7 +37,6 @@ except ImportError:  # direct invocation without PYTHONPATH=src
     from repro.core import TileBFS, TileSpMSpV
 
 from repro.matrices.generators import rmat
-from repro.parallel import ParallelConfig
 from repro.runtime import ExecutionContext
 from repro.shards import ShardedTiledMatrix
 from repro.vectors import random_sparse_vector
@@ -104,12 +103,10 @@ def main(argv=None) -> int:
         for w in worker_counts:
             # reopen per worker count: every sweep streams from cold
             sm = ShardedTiledMatrix.open(store_dir, budget_bytes=budget)
-            cfg = ParallelConfig(workers=w)
-            backend = cfg.resolved_backend(sm.store)
-            print(f"-- workers={w} (backend={backend}) --")
+            print(f"-- workers={w} --")
 
             # ---- SpMSpV sweep ----------------------------------------
-            op = TileSpMSpV(sm, parallel=cfg)
+            op = TileSpMSpV(sm, parallel=w)
             print(f"{'sparsity':>10} {'nnz(y)':>9} {'ms':>9} "
                   f"{'exec':>5} {'skip':>5} {'loaded':>10} "
                   f"{'evicted':>10}")
@@ -128,7 +125,7 @@ def main(argv=None) -> int:
 
             # ---- BFS end-to-end --------------------------------------
             ctx = ExecutionContext(mode="production")
-            bfs = TileBFS(sm, device=ctx, parallel=cfg)
+            bfs = TileBFS(sm, device=ctx, parallel=w)
             t0 = time.perf_counter()
             res = bfs.run(args.source)
             ms = (time.perf_counter() - t0) * 1e3

@@ -455,7 +455,6 @@ def run_wallclock(scale: int = 17, edge_factor: int = 16, nt: int = 16,
     say("parallel shard execution: worker sweep")
     from ..gpusim import Device
     from ..gpusim.multi_device import device_of_tag
-    from ..parallel import ParallelConfig
     from ..shards.sharded_matrix import ShardedTiledMatrix
     worker_counts = (1, 2, 4) if smoke else (1, 2, 4, 8)
     par_shards = 8 if smoke else 16
@@ -467,11 +466,9 @@ def run_wallclock(scale: int = 17, edge_factor: int = 16, nt: int = 16,
     parallel_rows = []
     base_wall_ms = None
     for w in worker_counts:
-        cfg = ParallelConfig(workers=w,
-                             backend="serial" if w == 1 else "thread")
         say(f"parallel workers={w} shards={par_shards} "
             f"density={par_density:g}")
-        par_op = ShardedSpMSpV(par_matrix, parallel=cfg)
+        par_op = ShardedSpMSpV(par_matrix, parallel=w)
         y_par = par_op.multiply(x_par, output="dense")
         assert np.allclose(y_par, y_par_ref), "parallel != tiled"
         wall_ms = _best_ms(
@@ -484,7 +481,7 @@ def run_wallclock(scale: int = 17, edge_factor: int = 16, nt: int = 16,
         # deterministic on any host, unlike the wall clock of a
         # CI runner with fewer cores than workers
         dev = Device()
-        m_op = ShardedSpMSpV(par_matrix, device=dev, parallel=cfg)
+        m_op = ShardedSpMSpV(par_matrix, device=dev, parallel=w)
         m_op.multiply(x_par, output="dense")
         mt = m_op.multi_timeline(max(1, w))
         predicted = (m_op._last_plan.predicted_speedup

@@ -10,16 +10,18 @@ they land — bit-identical to sequential execution, with the overlap
 priced honestly on a
 :class:`~repro.gpusim.MultiDeviceTimeline`.
 
-Switched on by ``REPRO_WORKERS=N`` or an explicit
-:class:`ParallelConfig` on any sharded operator.
+The worker count is the only setting: ``REPRO_WORKERS=N`` or
+``parallel=N`` on any sharded operator.  The pool backend, the
+per-worker budget, prefetch and stealing all follow from it
+(:mod:`repro.parallel.config`).
 """
 
-from .config import BACKEND_ENV, WORKERS_ENV, ParallelConfig, env_workers
+from .config import WORKERS_ENV, env_workers
 from .executor import ParallelExecutor, ShardResult, WorkerSlice
 from .work import WorkChunk, WorkItem, WorkPlan, WorkScheduler
 
 __all__ = [
-    "ParallelConfig", "WORKERS_ENV", "BACKEND_ENV", "env_workers",
+    "WORKERS_ENV", "env_workers",
     "WorkScheduler", "WorkPlan", "WorkItem", "WorkChunk",
     "ParallelExecutor", "WorkerSlice", "ShardResult",
 ]

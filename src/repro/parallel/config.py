@@ -1,40 +1,30 @@
-"""Parallel execution configuration and the ``REPRO_WORKERS`` switch.
+"""The worker count — the one parallel setting — and what it implies.
 
 Worker-pool shard execution is off by default; it turns on either
-explicitly (pass a :class:`ParallelConfig` — or a plain worker count —
-to any sharded operator) or globally via environment variables:
+explicitly (pass a worker count as ``parallel=`` to any sharded
+operator) or globally with ``REPRO_WORKERS=N``.  The variable is read
+per call (like ``REPRO_FASTPATH``), so tests monkeypatch
+``os.environ`` without reload tricks.
 
-* ``REPRO_WORKERS=N`` — run sharded multiplies on ``N`` workers.
-* ``REPRO_WORKERS_BACKEND=serial|thread|process`` — pin the pool
-  backend (default ``auto``).
-
-``auto`` resolves per store: in-memory shard stores get the ``thread``
-backend (shards are already in RAM; a process pool would only pay
-pickling), directory-backed stores get ``process`` when the platform
-can ``fork`` (each worker re-attaches the mmap directory itself —
-real page-in parallelism), falling back to ``thread`` otherwise.
-``serial`` runs the same worker decomposition on the calling thread in
-deterministic order — the reference the other backends are checked
-against, and what a single worker always uses.
-
-Both variables are read per call (like ``REPRO_FASTPATH``), so tests
-monkeypatch ``os.environ`` without reload tricks.
+Everything else follows from the count and the shard store.  The pool
+backend is ``thread`` for in-memory stores (shards are already in RAM;
+a process pool would only pay pickling) and ``process`` for
+directory-backed stores when the platform can ``fork`` (each worker
+re-attaches the mmap directory itself — real page-in parallelism),
+falling back to ``thread`` otherwise.  Each worker's resident-set
+slice gets an even share of the engine's byte budget.  A single worker
+never builds a pool: the engine runs its sequential strip loop.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
-__all__ = ["ParallelConfig", "WORKERS_ENV", "BACKEND_ENV",
-           "env_workers"]
+__all__ = ["WORKERS_ENV", "env_workers"]
 
 WORKERS_ENV = "REPRO_WORKERS"
-BACKEND_ENV = "REPRO_WORKERS_BACKEND"
-
-_BACKENDS = ("auto", "serial", "thread", "process")
 
 
 def env_workers() -> int:
@@ -46,94 +36,20 @@ def env_workers() -> int:
         return 1
 
 
-def _env_backend() -> str:
-    raw = os.environ.get(BACKEND_ENV, "auto").strip().lower()
-    return raw if raw in _BACKENDS else "auto"
-
-
 def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-@dataclass(frozen=True)
-class ParallelConfig:
-    """How a sharded operator spreads its shards over workers.
+def _backend_for(store) -> str:
+    """The pool backend for ``store``: ``process`` for a directory
+    store on a platform that can fork, ``thread`` otherwise."""
+    if hasattr(store, "root") and _fork_available():
+        return "process"
+    return "thread"
 
-    Parameters
-    ----------
-    workers:
-        Worker (simulated device) count; ``1`` disables the pool
-        entirely — the engine runs its classic sequential loop.
-    backend:
-        ``auto`` / ``serial`` / ``thread`` / ``process``; see module
-        docstring for how ``auto`` resolves.
-    prefetch_depth:
-        How many upcoming shards of a worker's queue the prefetcher
-        touches ahead of the compute loop; ``0`` disables prefetch.
-    steal_chunks:
-        Task chunks per worker the scheduler cuts each worker's shard
-        list into — smaller chunks let an idle pool slot steal the tail
-        of a straggler's queue at the cost of more dispatch overhead.
-    affinity:
-        Keep a shard sticky to the worker that last ran it (its slice
-        of the resident set already holds the pages), stealing only
-        when the sticky worker is overloaded by more than the shard's
-        own cost estimate.
-    """
 
-    workers: int = 1
-    backend: str = "auto"
-    prefetch_depth: int = 1
-    steal_chunks: int = 2
-    affinity: bool = True
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.backend not in _BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}; "
-                             f"expected one of {_BACKENDS}")
-        if self.prefetch_depth < 0:
-            raise ValueError("prefetch_depth must be >= 0")
-        if self.steal_chunks < 1:
-            raise ValueError("steal_chunks must be >= 1")
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_env(cls) -> "ParallelConfig":
-        """The ambient configuration (``REPRO_WORKERS`` et al.)."""
-        return cls(workers=env_workers(), backend=_env_backend())
-
-    @classmethod
-    def coerce(cls, value: Union[None, int, "ParallelConfig"]
-               ) -> "ParallelConfig":
-        """Normalise an operator's ``parallel=`` argument.
-
-        ``None`` reads the environment, an ``int`` is a worker count
-        with default knobs, a config passes through.
-        """
-        if value is None:
-            return cls.from_env()
-        if isinstance(value, ParallelConfig):
-            return value
-        if isinstance(value, int) and not isinstance(value, bool):
-            return cls(workers=value)
-        raise TypeError(f"parallel must be None, an int worker count, "
-                        f"or a ParallelConfig, got {value!r}")
-
-    def resolved_backend(self, store=None) -> str:
-        """The concrete backend for ``store`` (never ``auto``)."""
-        if self.workers <= 1:
-            return "serial"
-        if self.backend != "auto":
-            return self.backend
-        out_of_core = store is not None and hasattr(store, "root")
-        if out_of_core and _fork_available():
-            return "process"
-        return "thread"
-
-    def slice_budget(self, total: Optional[int]) -> Optional[int]:
-        """One worker's share of the engine's resident-set budget."""
-        if total is None:
-            return None
-        return max(1, total // self.workers)
+def _slice_budget(total: Optional[int], workers: int) -> Optional[int]:
+    """One worker's share of the engine's resident-set budget."""
+    if total is None:
+        return None
+    return max(1, total // workers)

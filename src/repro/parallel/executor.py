@@ -8,18 +8,16 @@ workers share *no* mutable state and a shard's pages stay hot on the
 worker that keeps running it (see sticky affinity in
 :mod:`repro.parallel.work`).
 
-Three backends behind one ``run()`` generator:
+Two backends behind one ``run()`` generator, picked by the shard
+store (:mod:`repro.parallel.config`):
 
-* ``serial`` — the chunks execute on the calling thread in dispatch
-  order; the reference the pools are checked against, and what a
-  single worker uses.
 * ``thread`` — a process-wide shared
   :class:`~concurrent.futures.ThreadPoolExecutor`; chunk results are
   yielded as futures land (the asynchronous combine).
-* ``process`` — a ``fork``-context ``multiprocessing.Pool``; each
+* ``process`` — ``fork``-context ``multiprocessing`` pools; each
   worker process lazily builds its slices from a pickled descriptor
   (the directory store ships as its root path and re-attaches), and
-  chunk results stream back through ``imap_unordered``.
+  chunk results stream back as they complete.
 
 Whatever the backend, results are **bit-identical** to the sequential
 engine: row strips are disjoint, so the combine order cannot change a
@@ -30,11 +28,12 @@ production replay log) is deterministic too — only the ``device=`` /
 ``worker=`` tag parts say where a shard actually ran.
 
 Prefetch: while a chunk computes shard *i*, a lookahead walker touches
-the mmap pages of shards ``i+1 .. i+depth`` of the same chunk, so the
-page-in cost overlaps the current kernel.  Load/evict bytes caused by
-a prefetch are parked per shard and claimed by the compute that
-consumes it — the launch record stream is identical with prefetch on
-or off.
+the mmap pages of shards ``i+1 .. i+PREFETCH_DEPTH`` of the same
+chunk, so the page-in cost overlaps the current kernel.  Load/evict
+bytes caused by a prefetch are parked per shard and claimed by the
+compute that consumes it — without eviction pressure the launch record
+stream is the one the sequential engine, which never prefetches,
+emits.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ from ..semiring import Semiring
 from ..shards.engine import ShardResult, _shard_plan, execute_shard
 from ..shards.store import ResidentSetManager
 from ..tiles.tiled_matrix import TiledMatrix
-from .config import ParallelConfig
-from .work import WorkChunk, WorkPlan
+from .config import _backend_for, _slice_budget
+from .work import WorkPlan
 
 __all__ = ["ShardResult", "WorkerSlice", "ParallelExecutor"]
 
@@ -62,6 +61,10 @@ _TILED_ARRAYS = ("tile_ptr", "tile_colidx", "tile_nnz_ptr",
                  "local_row", "local_col", "values")
 
 _PAGE = 4096
+
+#: How many upcoming shards of a chunk the prefetcher touches ahead of
+#: the compute loop.
+PREFETCH_DEPTH = 1
 
 
 def _touch_pages(tiled: TiledMatrix) -> int:
@@ -167,22 +170,20 @@ class WorkerSlice:
 # chunk execution (shared by every backend; runs where the slice lives)
 # ----------------------------------------------------------------------
 def _run_chunk(slc: WorkerSlice, sids, xts, batched: bool,
-               with_counters: bool, depth: int, overlap: bool,
-               worker_label: str,
+               with_counters: bool,
                spmm_selector=None) -> List[ShardResult]:
     """Run one chunk's shards in order, with lookahead prefetch.
 
-    ``overlap=True`` (pool backends) walks the prefetcher on a short-
-    lived background thread so page-in overlaps the current kernel;
-    ``overlap=False`` (serial backend) touches the lookahead window
-    synchronously — no overlap to model, but the same launch stream.
+    A short-lived background walker keeps up to
+    :data:`PREFETCH_DEPTH` shards ahead of the compute loop, so
+    page-in overlaps the current kernel.
     """
     progress = {"done": 0}
     walker = None
-    if depth > 0 and len(sids) > 1 and overlap:
+    if len(sids) > 1:
         def _walk():
             for j in range(1, len(sids)):
-                while j > progress["done"] + depth:
+                while j > progress["done"] + PREFETCH_DEPTH:
                     time.sleep(0.0005)
                 try:
                     slc.prefetch(sids[j])
@@ -192,13 +193,14 @@ def _run_chunk(slc: WorkerSlice, sids, xts, batched: bool,
         walker.start()
     results = []
     for i, sid in enumerate(sids):
-        if depth > 0 and not overlap:
-            for nxt in sids[i + 1:i + 1 + depth]:
-                slc.prefetch(nxt)
+        # the worker label is the stable scheduler worker id, not the
+        # OS pid: launch tags must be deterministic run to run so
+        # production replay and the parallel-invariance check can
+        # compare them
         results.append(execute_shard(slc, int(sid), xts, batched,
                                      with_counters, spmm_selector,
                                      device=slc.wid,
-                                     worker=worker_label))
+                                     worker=str(slc.wid)))
         progress["done"] = i + 1
     if walker is not None:
         walker.join(timeout=10.0)
@@ -257,15 +259,11 @@ def _process_slice(wid: int) -> WorkerSlice:
 
 def _process_chunk(task) -> Tuple[List[ShardResult], Tuple[int, int],
                                   Dict[str, int]]:
-    wid, sids, xts, batched, with_counters, depth, spmm_selector = task
+    wid, sids, xts, batched, with_counters, spmm_selector = task
     slc = _process_slice(wid)
-    # the worker label is the stable scheduler worker id, not the OS
-    # pid: launch tags must be deterministic run to run so production
-    # replay and the parallel-invariance check can compare them; the
-    # real pid travels back in the snapshot key below.
-    results = _run_chunk(slc, sids, xts, batched, with_counters, depth,
-                         overlap=True, worker_label=str(wid),
-                         spmm_selector=spmm_selector)
+    results = _run_chunk(slc, sids, xts, batched, with_counters,
+                         spmm_selector)
+    # the real pid travels back in the snapshot key
     return results, (os.getpid(), wid), slc.stats()
 
 
@@ -281,30 +279,28 @@ class _ExecStats:
 class ParallelExecutor:
     """Dispatches a :class:`~repro.parallel.work.WorkPlan` over a pool.
 
-    Owns the worker slices (in-process backends) or the process pool
-    and its slice descriptors (process backend).  ``run()`` is a
+    Owns the worker slices (thread backend) or the process pools and
+    their slice descriptor (process backend).  ``run()`` is a
     generator yielding :class:`ShardResult` in **completion order** —
     the coordinator merges each result into the output accumulator the
     moment it lands (the asynchronous scatter-gather combine) and
     re-orders only the *launch records*, never the data.
     """
 
-    def __init__(self, matrix, config: ParallelConfig,
+    def __init__(self, matrix, workers: int,
                  semiring: Semiring, pattern_only: bool,
                  plan_cache: Optional[PlanCache] = None,
                  plan_token=None):
         self.matrix = matrix
-        self.config = config
-        self.workers = config.workers
-        self.backend = config.resolved_backend(matrix.store)
+        self.workers = int(workers)
+        self.backend = _backend_for(matrix.store)
         self.semiring = semiring
         self.pattern_only = bool(pattern_only)
-        budget = config.slice_budget(matrix.resident.budget_bytes)
-        self._budget = budget
+        budget = _slice_budget(matrix.resident.budget_bytes, self.workers)
         self._stats = _ExecStats()
         self._pools: List = []
         self.slices: List[WorkerSlice] = []
-        if self.backend != "process":
+        if self.backend == "thread":
             self.slices = [
                 WorkerSlice(w, matrix.store.attach(), budget, semiring,
                             pattern_only, plan_cache=plan_cache,
@@ -336,24 +332,13 @@ class ParallelExecutor:
             with_counters: bool,
             spmm_selector=None) -> Iterator[ShardResult]:
         """Execute the plan; yield results as they complete."""
-        depth = self.config.prefetch_depth
-        chunks: List[WorkChunk] = plan.chunks
+        chunks = plan.chunks
         self._stats.chunks += len(chunks)
-        if self.backend == "serial":
-            for c in chunks:
-                for res in _run_chunk(self.slices[c.worker], c.sids,
-                                      xts, batched, with_counters,
-                                      depth, overlap=False,
-                                      worker_label=str(c.worker),
-                                      spmm_selector=spmm_selector):
-                    self._stats.results += 1
-                    yield res
-        elif self.backend == "thread":
+        if self.backend == "thread":
             from concurrent.futures import as_completed
             spawn = _shared_thread_pool().submit
             futs = [spawn(_run_chunk, self.slices[c.worker], c.sids, xts,
-                          batched, with_counters, depth, True,
-                          str(c.worker), spmm_selector)
+                          batched, with_counters, spmm_selector)
                     for c in chunks]
             for fut in as_completed(futs):
                 for res in fut.result():
@@ -364,7 +349,7 @@ class ParallelExecutor:
             pending = [self._pools[c.worker].apply_async(
                            _process_chunk,
                            ((c.worker, c.sids, xts, batched,
-                             with_counters, depth, spmm_selector),))
+                             with_counters, spmm_selector),))
                        for c in chunks]
             while pending:
                 still = []

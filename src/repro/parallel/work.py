@@ -17,9 +17,9 @@ balance-vs-locality trade, resolved in favour of locality until it
 costs more than it saves.
 
 Each worker's ordered shard list is then cut into up to
-``steal_chunks`` task chunks (largest first across workers), so pool
-backends dispatch chunk-by-chunk and an idle slot picks up the tail of
-a straggler's queue instead of waiting on the barrier.
+:data:`STEAL_CHUNKS` task chunks (largest first across workers), so
+pool backends dispatch chunk-by-chunk and an idle slot picks up the
+tail of a straggler's queue instead of waiting on the barrier.
 """
 
 from __future__ import annotations
@@ -30,6 +30,11 @@ from typing import Dict, List
 import numpy as np
 
 __all__ = ["WorkItem", "WorkChunk", "WorkPlan", "WorkScheduler"]
+
+#: Task chunks per worker queue: smaller chunks let an idle pool slot
+#: steal the tail of a straggler's queue at the cost of more dispatch
+#: overhead.
+STEAL_CHUNKS = 2
 
 
 @dataclass(frozen=True)
@@ -80,8 +85,7 @@ class WorkPlan:
     @property
     def imbalance(self) -> float:
         """max/mean worker load — 1.0 is a perfect balance."""
-        loads = [ld for ld in self.loads]
-        busy = [ld for ld in loads if ld > 0] or [0.0]
+        loads = self.loads
         mean = sum(loads) / self.workers
         return (max(loads) / mean) if mean > 0 else 1.0
 
@@ -95,12 +99,6 @@ class WorkPlan:
         longest = max(loads) if loads else 0.0
         return (sum(loads) / longest) if longest > 0 else 1.0
 
-    def worker_of(self, sid: int) -> int:
-        for item in self.items:
-            if item.sid == sid:
-                return item.worker
-        raise KeyError(sid)
-
 
 class WorkScheduler:
     """Shard → worker placement with cost estimates and affinity.
@@ -113,18 +111,11 @@ class WorkScheduler:
         cost model).
     workers:
         Worker count (fixed for the scheduler's lifetime).
-    affinity:
-        Honour sticky shard→worker placement across multiplies.
-    steal_chunks:
-        Chunks each worker's queue is cut into for dynamic stealing.
     """
 
-    def __init__(self, matrix, workers: int, affinity: bool = True,
-                 steal_chunks: int = 2):
+    def __init__(self, matrix, workers: int):
         self.matrix = matrix
         self.workers = int(workers)
-        self.affinity = bool(affinity)
-        self.steal_chunks = max(1, int(steal_chunks))
         #: sid -> worker that last executed it (updated every plan).
         self.sticky: Dict[int, int] = {}
         self.plans = 0
@@ -175,7 +166,7 @@ class WorkScheduler:
         for cost, sid in costs:
             lightest = min(range(self.workers), key=lambda w: (loads[w], w))
             target, stolen = lightest, False
-            pref = self.sticky.get(sid) if self.affinity else None
+            pref = self.sticky.get(sid)
             if pref is not None:
                 if loads[pref] <= loads[lightest] + cost:
                     target = pref
@@ -197,7 +188,7 @@ class WorkScheduler:
                 continue
             by_sid = {i.sid: i.cost for i in plan.items
                       if i.worker == worker}
-            n_chunks = min(self.steal_chunks, len(sids))
+            n_chunks = min(STEAL_CHUNKS, len(sids))
             bounds = np.linspace(0, len(sids), n_chunks + 1).astype(int)
             for lo, hi in zip(bounds[:-1], bounds[1:]):
                 if hi > lo:

@@ -54,14 +54,14 @@ class BatchTicket:
     output:
         Requested result form (``"sparse"`` or ``"dense"``).
     done:
-        Whether the request has been dispatched.
+        Whether the request has been dispatched (successfully or not).
     batch_id / batch_size:
         Set at dispatch time: which batch served the request and how
         many requests shared its launch.
     """
 
     __slots__ = ("_queue", "_x", "semiring", "output", "done",
-                 "batch_id", "batch_size", "_result")
+                 "batch_id", "batch_size", "_result", "_error")
 
     def __init__(self, queue: "BatchQueue", x, semiring: Semiring,
                  output: str):
@@ -73,12 +73,16 @@ class BatchTicket:
         self.batch_id: Optional[int] = None
         self.batch_size: Optional[int] = None
         self._result = None
+        self._error: Optional[BaseException] = None
 
     def result(self):
         """The request's result, dispatching its group if still
-        pending (a blocking ``get``)."""
+        pending (a blocking ``get``); re-raises the engine error when
+        the request's batch failed."""
         if not self.done:
             self._queue.flush(self.semiring)
+        if self._error is not None:
+            raise self._error
         return self._result
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -117,21 +121,19 @@ class BatchQueue:
         defaults to :func:`time.monotonic`.
     plan_cache:
         Forwarded to the engine.
-    shard_affinity:
-        When the matrix is sharded and running multi-worker
-        (``REPRO_WORKERS``/:class:`~repro.parallel.ParallelConfig`),
-        seed the work scheduler's sticky shard→worker map from each
-        worker's current resident set right before every dispatch, so
-        a batch's shards route to the workers that already hold them
-        resident.  On by default; harmless (a no-op) for unsharded
-        matrices and single-worker runs.
     parallel:
-        Optional :class:`~repro.parallel.ParallelConfig` forwarded to
-        the engine (``None`` reads ``REPRO_WORKERS`` per dispatch).
+        Optional worker count forwarded to the engine (``None`` reads
+        ``REPRO_WORKERS`` per dispatch).  When the matrix is sharded
+        and runs multi-worker, every dispatch first seeds the work
+        scheduler's sticky shard→worker map from each worker's current
+        resident set, so a batch's shards route to the workers that
+        already hold them resident.
     on_dispatch:
         Optional callback invoked after every dispatch with
         ``(tickets, batch_id, modeled_ms)`` — the just-served tickets
-        (already ``done``), the batch id stamped on their launches,
+        (already ``done``; a failed batch's tickets carry its error,
+        which :meth:`BatchTicket.result` re-raises), the batch id
+        stamped on their launches,
         and the simulated device milliseconds the batch cost (0.0
         with no device attached or in production mode).  The serving
         layer uses this to resolve awaiting futures and to price
@@ -147,8 +149,7 @@ class BatchQueue:
                  device=None, max_batch: int = 32,
                  max_delay_ms: Optional[float] = None,
                  clock: Callable[[], float] = time.monotonic,
-                 plan_cache=None, shard_affinity: bool = True,
-                 parallel=None,
+                 plan_cache=None, parallel=None,
                  on_dispatch: Optional[Callable] = None,
                  tag_prefix: str = ""):
         if max_batch < 1:
@@ -160,7 +161,6 @@ class BatchQueue:
         self._nt = nt
         self._extract_threshold = extract_threshold
         self._plan_cache = plan_cache
-        self.shard_affinity = bool(shard_affinity)
         self._parallel = parallel
         self._affinity_seeded = 0
         self.max_batch = int(max_batch)
@@ -219,7 +219,7 @@ class BatchQueue:
         self._requests += 1
         if len(group) >= self.max_batch:
             self._dispatch(semiring)
-        self._dispatch_overdue()
+        self.dispatch_overdue()
         return ticket
 
     def check_vector(self, x, semiring: Semiring = PLUS_TIMES) -> None:
@@ -304,9 +304,6 @@ class BatchQueue:
         return served
 
     # ------------------------------------------------------------------
-    def _dispatch_overdue(self) -> None:
-        self.dispatch_overdue()
-
     def _dispatch(self, semiring: Semiring) -> int:
         group = self._pending.get(semiring) or []
         if not group:
@@ -316,19 +313,26 @@ class BatchQueue:
         batch_id = self._next_batch_id
         self._next_batch_id += 1
         engine = self._engine(semiring)
-        if self.shard_affinity:
-            sharded = getattr(engine, "_sharded", None)
-            if sharded is not None:
-                self._affinity_seeded += \
-                    sharded.seed_affinity_from_residency()
+        sharded = getattr(engine, "_sharded", None)
+        if sharded is not None:
+            self._affinity_seeded += sharded.seed_affinity_from_residency()
         elapsed_before = self.ctx.elapsed_ms
-        Y = engine.multiply_batch([t._x for t in group], output="dense",
-                                  tag=f"{self._tag_prefix}"
-                                      f"batch={batch_id} "
-                                      f"size={len(group)}")
+        error = None
+        try:
+            Y = engine.multiply_batch([t._x for t in group],
+                                      output="dense",
+                                      tag=f"{self._tag_prefix}"
+                                          f"batch={batch_id} "
+                                          f"size={len(group)}")
+        except Exception as exc:
+            # the group is already off the queue: every batchmate
+            # learns of the failure, not only the triggering caller
+            error = exc
         modeled_ms = self.ctx.elapsed_ms - elapsed_before
         for b, ticket in enumerate(group):
-            if ticket.output == "dense":
+            if error is not None:
+                ticket._error = error
+            elif ticket.output == "dense":
                 ticket._result = Y[b].copy()
             else:
                 ticket._result = engine.sparsify(Y[b])
@@ -340,6 +344,8 @@ class BatchQueue:
         self._dispatched += len(group)
         if self._on_dispatch is not None:
             self._on_dispatch(group, batch_id, modeled_ms)
+        if error is not None:
+            raise error
         return len(group)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

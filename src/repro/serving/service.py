@@ -17,8 +17,11 @@ Query types
   or an explicit flush.  Routing to the sharded / parallel engines is
   automatic: register a
   :class:`~repro.shards.ShardedTiledMatrix` and every dispatched batch
-  streams shards (with the queue's residency-affinity seeding); set
-  ``parallel`` and shard batches fan out across workers.
+  streams shards (with the queue's residency-affinity seeding); set a
+  ``parallel`` worker count and shard batches fan out across workers.
+  A batch whose engine call raises fails every request in it: each
+  record closes with status ``error`` and each awaiter gets the
+  exception, while the dispatch loop keeps serving.
 * :class:`BFSQuery` — level-synchronous traversal via
   :class:`~repro.core.tilebfs.TileBFS`, executed at submit on a plan
   shared through the tenant's cache partition.
@@ -58,6 +61,7 @@ tenant-cache, and memo counters.
 from __future__ import annotations
 
 import asyncio
+import logging
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
@@ -75,6 +79,8 @@ from .tenancy import DEFAULT_TENANT, TenantPlanCache
 
 __all__ = ["GraphQueryService", "MultiplyQuery", "BFSQuery",
            "PageRankQuery", "ServingTicket"]
+
+_log = logging.getLogger(__name__)
 
 
 # ----------------------------------------------------------------------
@@ -120,14 +126,13 @@ class ServingTicket:
     """
 
     __slots__ = ("record", "query", "value", "done",
-                 "_served", "_batch_ticket", "_future")
+                 "_batch_ticket", "_future")
 
-    def __init__(self, record, query, served):
+    def __init__(self, record, query):
         self.record = record
         self.query = query
         self.value = None
         self.done = False
-        self._served = served
         self._batch_ticket = None
         self._future: Optional[asyncio.Future] = None
 
@@ -136,12 +141,10 @@ class ServingTicket:
         return self.record.request_id
 
     def result(self):
-        """The request's result, flushing its group if still pending."""
-        if not self.done:
-            self._served.queue.flush(self.query.semiring)
-        if not self.done:  # pragma: no cover - defensive
-            raise RuntimeError("flush did not complete the request")
-        return self.value
+        """The request's result, flushing its group if still pending;
+        re-raises the engine error when its batch failed."""
+        bt = self._batch_ticket
+        return self.value if bt is None else bt.result()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "done" if self.done else "pending"
@@ -189,8 +192,8 @@ class GraphQueryService:
         The partitioned plan cache; a default one is created if not
         supplied.
     parallel:
-        Optional :class:`~repro.parallel.ParallelConfig` forwarded to
-        every queue (sharded matrices then dispatch multi-worker).
+        Optional worker count forwarded to every queue and BFS engine
+        (sharded matrices then dispatch multi-worker).
     time_scale:
         Virtual seconds charged per modeled second of device time in
         virtual-clock mode (1.0: one modeled ms costs one virtual ms).
@@ -383,9 +386,17 @@ class GraphQueryService:
                             query.matrix, query.semiring.name,
                             self._clock())
         self._admit(rec)
-        ticket = ServingTicket(rec, query, served)
-        bt = served.queue.submit(query.x, semiring=query.semiring,
-                                 output=query.output)
+        ticket = ServingTicket(rec, query)
+        try:
+            bt = served.queue.submit(query.x, semiring=query.semiring,
+                                     output=query.output)
+        except Exception:
+            # a dispatch this submit triggered failed; the callback
+            # parked this request's completion under a ticket the
+            # caller never receives
+            self._completions.clear()
+            self.log.fail(rec, self._clock())
+            raise
         ticket._batch_ticket = bt
         if bt.done:
             # dispatched inside submit (size budget / overdue sweep):
@@ -416,12 +427,17 @@ class GraphQueryService:
                           batch_size: int, modeled_ms: float,
                           done_s: float, tag: str) -> None:
         bt = ticket._batch_ticket
+        ticket.done = True
+        fut = ticket._future
+        if bt._error is not None:
+            self.log.fail(ticket.record, done_s)
+            if fut is not None and not fut.done():
+                fut.set_exception(bt._error)
+            return
         self.log.complete(ticket.record, done_s, batch_id=batch_id,
                           batch_size=batch_size, modeled_ms=modeled_ms,
                           launch_tag=tag)
         ticket.value = bt._result
-        ticket.done = True
-        fut = ticket._future
         if fut is not None and not fut.done():
             fut.set_result(ticket.value)
 
@@ -432,7 +448,7 @@ class GraphQueryService:
         rec = self.log.open(tenant or served.tenant, kind,
                             query.matrix, None, self._clock())
         self._admit(rec)
-        ticket = ServingTicket(rec, query, served)
+        ticket = ServingTicket(rec, query)
         tracer = self.ctx.tracer
         seq0 = len(tracer.events) if tracer is not None else None
         elapsed0 = self.ctx.elapsed_ms
@@ -534,25 +550,33 @@ class GraphQueryService:
         # injectable clock (next_deadline_ms); asyncio only bounds how
         # long we sleep before looking again.
         while True:
-            delay_ms = self.next_deadline_ms()
-            if delay_ms is not None and delay_ms <= 0:
-                # A group is already overdue: dispatch now, never
-                # sleep a negative timeout.  If nothing fires (the
-                # queue's own overdue check can trail the reported
-                # deadline by one clock read), yield to the event loop
-                # instead of spinning on it.
-                if self.pump() == 0:
-                    await asyncio.sleep(0)
-                continue
             try:
-                if delay_ms is None:
-                    await self._wake.wait()
-                else:
-                    await asyncio.wait_for(self._wake.wait(),
-                                           timeout=delay_ms / 1e3)
-                self._wake.clear()
-            except asyncio.TimeoutError:
-                self.pump()
+                await self._dispatch_step()
+            except Exception:
+                # a failed batch has already failed its own requests;
+                # the loop must keep serving everyone else
+                _log.exception("batch dispatch failed")
+
+    async def _dispatch_step(self) -> None:
+        delay_ms = self.next_deadline_ms()
+        if delay_ms is not None and delay_ms <= 0:
+            # A group is already overdue: dispatch now, never sleep a
+            # negative timeout.  If nothing fires (the queue's own
+            # overdue check can trail the reported deadline by one
+            # clock read), yield to the event loop instead of spinning
+            # on it.
+            if self.pump() == 0:
+                await asyncio.sleep(0)
+            return
+        try:
+            if delay_ms is None:
+                await self._wake.wait()
+            else:
+                await asyncio.wait_for(self._wake.wait(),
+                                       timeout=delay_ms / 1e3)
+            self._wake.clear()
+        except asyncio.TimeoutError:
+            self.pump()
 
     # ------------------------------------------------------------------
     # observability

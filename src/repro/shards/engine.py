@@ -35,15 +35,15 @@ exactly one shard and the combiner merges disjoint ranges into an
 identity-filled accumulator — which is why 1-shard and N-shard
 execution are bit-identical, not merely numerically close.
 
-With ``REPRO_WORKERS=N`` (or an explicit
-:class:`~repro.parallel.ParallelConfig`) the per-shard stage runs on
-the worker-pool executor instead of the sequential loop: a cost-model
-work scheduler places shards on workers, each worker executes its
-chunk against its private resident-set slice, and the combiner merges
-results as they land.  Launch records are re-emitted in ascending
-shard order with ``device=<id>;worker=<id>`` tag parts, so the
-timeline (and the production replay log) stays deterministic and
-bit-identical to sequential execution modulo those tag parts —
+With more than one worker (``REPRO_WORKERS=N`` or ``parallel=N``) the
+per-shard stage runs on the worker-pool executor instead of the
+sequential loop: a cost-model work scheduler places shards on workers,
+each worker executes its chunk against its private resident-set
+slice, and the combiner merges results as they land.  Launch records
+are re-emitted in ascending shard order with
+``device=<id>;worker=<id>`` tag parts, so the timeline (and the
+production replay log) stays deterministic and bit-identical to
+sequential execution modulo those tag parts —
 :meth:`ShardedSpMSpV.multi_timeline` re-partitions it into per-device
 clocks to price the overlap.
 """
@@ -223,12 +223,11 @@ class ShardedSpMSpV:
         its stored values (cached per shard plan).  The BFS loop sets
         this: reachability must not depend on stored values cancelling.
     parallel:
-        ``None`` (default) reads ``REPRO_WORKERS`` /
-        ``REPRO_WORKERS_BACKEND`` on every multiply; an ``int`` is a
-        fixed worker count; a
-        :class:`~repro.parallel.ParallelConfig` pins everything.
-        Worker counts above 1 route the per-shard stage through the
-        pool executor — results stay bit-identical to sequential.
+        The worker count: ``None`` (default) reads ``REPRO_WORKERS`` on
+        every multiply; a positive ``int`` fixes it.  Counts above 1
+        route the per-shard stage through the pool executor, whose
+        backend the shard store picks (:mod:`repro.parallel.config`) —
+        results stay bit-identical to sequential.
     """
 
     def __init__(self, matrix, nt: int = 16,
@@ -258,13 +257,15 @@ class ShardedSpMSpV:
         self.scheduler = ShardScheduler(self.matrix)
         self.matrix.resident.evict_callbacks.append(
             self._invalidate_plan)
+        # validate eagerly; None stays None so the env is re-read on
+        # every multiply (tests monkeypatch REPRO_WORKERS)
         if parallel is not None:
-            # validate eagerly; None stays None so the env is re-read
-            # on every multiply (tests monkeypatch REPRO_WORKERS)
-            from ..parallel.config import ParallelConfig
-            parallel = ParallelConfig.coerce(parallel)
+            if not isinstance(parallel, int) or isinstance(parallel, bool):
+                raise TypeError(f"parallel must be None or an int worker "
+                                f"count, got {parallel!r}")
+            if parallel < 1:
+                raise ValueError(f"workers must be >= 1, got {parallel}")
         self._parallel_arg = parallel
-        self._pcfg = None
         self._work = None
         self._executor = None
         self._last_plan = None
@@ -324,29 +325,27 @@ class ShardedSpMSpV:
     # parallel execution
     # ------------------------------------------------------------------
     @property
-    def parallel(self):
-        """The resolved :class:`~repro.parallel.ParallelConfig` for the
-        next multiply (reads the environment when none was pinned)."""
-        from ..parallel.config import ParallelConfig
+    def parallel(self) -> int:
+        """The worker count of the next multiply (reads
+        ``REPRO_WORKERS`` when none was pinned)."""
+        from ..parallel.config import env_workers
         return (self._parallel_arg if self._parallel_arg is not None
-                else ParallelConfig.from_env())
+                else env_workers())
 
-    def _ensure_parallel(self, cfg):
-        """(Re)build the work scheduler and pool executor for ``cfg``."""
-        if self._executor is not None and self._pcfg == cfg:
-            return
+    def _ensure_parallel(self, workers: int):
+        """(Re)build the work scheduler and pool executor for
+        ``workers`` when the count changed."""
         if self._executor is not None:
+            if self._executor.workers == workers:
+                return
             self._executor.close()
         from ..parallel.executor import ParallelExecutor
         from ..parallel.work import WorkScheduler
-        self._work = WorkScheduler(self.matrix, cfg.workers,
-                                   affinity=cfg.affinity,
-                                   steal_chunks=cfg.steal_chunks)
+        self._work = WorkScheduler(self.matrix, workers)
         self._executor = ParallelExecutor(
-            self.matrix, cfg, self.semiring, self.pattern_only,
+            self.matrix, workers, self.semiring, self.pattern_only,
             plan_cache=self.cache,
             plan_token=matrix_token(self.matrix))
-        self._pcfg = cfg
 
     def seed_affinity_from_residency(self) -> int:
         """Seed the planner's sticky map from current slice residency,
@@ -396,9 +395,9 @@ class ShardedSpMSpV:
             name, phase = "sharded_spmspv_batch", "batch"
         else:
             name, phase = "sharded_spmspv_shard", "multiply"
-        cfg = self.parallel
-        if cfg.workers > 1 and executed.size:
-            self._ensure_parallel(cfg)
+        workers = self.parallel
+        if workers > 1 and executed.size:
+            self._ensure_parallel(workers)
             self._last_plan = self._work.plan(executed, active_cols)
             landed = {}
             for res in self._executor.run(self._last_plan, xts, batched,

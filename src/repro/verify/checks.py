@@ -667,7 +667,6 @@ def check_parallel_invariance(case: Case) -> Optional[str]:
     is exactly what this check must not let leak into the model.
     """
     from ..core.spmspv import TileSpMSpV
-    from ..parallel import ParallelConfig
     from ..shards.engine import ShardedSpMSpV
     sr = case.sr
     n_shards = 4
@@ -697,11 +696,9 @@ def check_parallel_invariance(case: Case) -> Optional[str]:
         ref_stream = stream(dev_seq)
         for w in (1, 2, 4):
             dev = Device()
-            cfg = ParallelConfig(
-                workers=w, backend="serial" if w == 1 else "thread")
             op = ShardedSpMSpV(case.matrix, nt=case.nt, semiring=sr,
                                device=dev, n_shards=n_shards,
-                               parallel=cfg)
+                               parallel=w)
             y = op.multiply(x, output="dense")
             if not np.array_equal(y.view(np.uint8),
                                   y_seq.view(np.uint8)):

@@ -1,10 +1,12 @@
-"""Worker-pool executor: bit-identity, prefetch, stats, affinity."""
+"""Worker-pool executor: bit-identity, prefetch, stats, affinity.
+
+The shard store picks the backend: in-memory stores run on the thread
+backend, directory stores on the process backend."""
 
 import numpy as np
 import pytest
 
 from repro.gpusim import Device
-from repro.parallel import ParallelConfig
 from repro.runtime import BatchQueue
 from repro.semiring import PLUS_TIMES
 from repro.shards import ShardedSpMSpV, ShardedTiledMatrix
@@ -38,10 +40,6 @@ def stream(dev):
             for r in dev.timeline]
 
 
-def thread_cfg(workers, **kw):
-    return ParallelConfig(workers=workers, backend="thread", **kw)
-
-
 class TestBitIdentity:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_thread_backend_matches_sequential(self, coo, vectors,
@@ -49,19 +47,8 @@ class TestBitIdentity:
         for x in vectors:
             y_seq = ShardedSpMSpV(coo, n_shards=4).multiply(
                 x, output="dense")
-            y = ShardedSpMSpV(coo, n_shards=4,
-                              parallel=thread_cfg(workers)
+            y = ShardedSpMSpV(coo, n_shards=4, parallel=workers
                               ).multiply(x, output="dense")
-            assert np.array_equal(y.view(np.uint8),
-                                  y_seq.view(np.uint8))
-
-    def test_serial_backend_matches_sequential(self, coo, vectors):
-        cfg = ParallelConfig(workers=2, backend="serial")
-        for x in vectors:
-            y_seq = ShardedSpMSpV(coo, n_shards=4).multiply(
-                x, output="dense")
-            y = ShardedSpMSpV(coo, n_shards=4, parallel=cfg).multiply(
-                x, output="dense")
             assert np.array_equal(y.view(np.uint8),
                                   y_seq.view(np.uint8))
 
@@ -69,9 +56,8 @@ class TestBitIdentity:
                                                 tmp_path):
         sm = ShardedTiledMatrix.from_coo(coo, nt=16, n_shards=4,
                                          store_dir=tmp_path / "shards")
-        cfg = ParallelConfig(workers=2, backend="process")
         op = ShardedSpMSpV(ShardedTiledMatrix.open(tmp_path / "shards"),
-                           parallel=cfg)
+                           parallel=2)
         try:
             for x in vectors:
                 y_seq = ShardedSpMSpV(sm).multiply(x, output="dense")
@@ -84,8 +70,8 @@ class TestBitIdentity:
     def test_batch_matches_sequential_batch(self, coo, vectors):
         y_seq = ShardedSpMSpV(coo, n_shards=4).multiply_batch(
             vectors, output="dense")
-        y = ShardedSpMSpV(coo, n_shards=4, parallel=thread_cfg(4)
-                          ).multiply_batch(vectors, output="dense")
+        y = ShardedSpMSpV(coo, n_shards=4, parallel=4).multiply_batch(
+            vectors, output="dense")
         assert np.array_equal(y.view(np.uint8), y_seq.view(np.uint8))
 
     def test_pattern_only_matches_sequential(self, coo):
@@ -98,7 +84,7 @@ class TestBitIdentity:
                               pattern_only=True).multiply(
             xb, output="dense")
         y = ShardedSpMSpV(coo, n_shards=4,
-                          pattern_only=True, parallel=thread_cfg(2)
+                          pattern_only=True, parallel=2
                           ).multiply(xb, output="dense")
         assert np.array_equal(y.view(np.uint8), y_seq.view(np.uint8))
         assert y_seq.max() > 0
@@ -107,20 +93,21 @@ class TestBitIdentity:
 class TestLaunchStream:
     def test_stream_matches_sequential_modulo_placement(self, coo,
                                                         vectors):
-        dev_seq = Device()
-        ShardedSpMSpV(coo, n_shards=4, device=dev_seq).multiply(
-            vectors[0], output="dense")
-        dev = Device()
-        ShardedSpMSpV(coo, n_shards=4, device=dev,
-                      parallel=thread_cfg(4)).multiply(
-            vectors[0], output="dense")
-        assert stream(dev) == stream(dev_seq)
+        # six shards on two workers put several shards in a chunk, so
+        # the prefetcher runs; the sequential engine never prefetches
+        for x in vectors:
+            dev_seq = Device()
+            ShardedSpMSpV(coo, n_shards=6, device=dev_seq).multiply(
+                x, output="dense")
+            dev = Device()
+            ShardedSpMSpV(coo, n_shards=6, device=dev,
+                          parallel=2).multiply(x, output="dense")
+            assert stream(dev) == stream(dev_seq)
 
     def test_parallel_tags_carry_device_and_worker(self, coo, vectors):
         dev = Device()
         ShardedSpMSpV(coo, n_shards=4, device=dev,
-                      parallel=thread_cfg(2)).multiply(
-            vectors[0], output="dense")
+                      parallel=2).multiply(vectors[0], output="dense")
         shard_recs = [r for r in dev.timeline
                       if r.name == "sharded_spmspv_shard"]
         assert shard_recs
@@ -129,23 +116,10 @@ class TestLaunchStream:
             assert any(p.startswith("device=") for p in parts)
             assert any(p.startswith("worker=") for p in parts)
 
-    def test_prefetch_does_not_change_stream(self, coo, vectors):
-        streams = []
-        for depth in (0, 2):
-            dev = Device()
-            op = ShardedSpMSpV(coo, n_shards=6, device=dev,
-                               parallel=thread_cfg(
-                                   2, prefetch_depth=depth))
-            for x in vectors:
-                op.multiply(x, output="dense")
-            streams.append(stream(dev))
-        assert streams[0] == streams[1]
-
 
 class TestStats:
     def test_engine_stats_expose_pool_counters(self, coo, vectors):
-        op = ShardedSpMSpV(coo, n_shards=6,
-                           parallel=thread_cfg(2, prefetch_depth=2))
+        op = ShardedSpMSpV(coo, n_shards=6, parallel=2)
         for x in vectors:
             op.multiply(x, output="dense")
         s = op.stats()
@@ -161,9 +135,8 @@ class TestStats:
                                           tmp_path):
         ShardedTiledMatrix.from_coo(coo, nt=16, n_shards=4,
                                     store_dir=tmp_path / "s")
-        cfg = ParallelConfig(workers=2, backend="process")
         op = ShardedSpMSpV(ShardedTiledMatrix.open(tmp_path / "s"),
-                           parallel=cfg)
+                           parallel=2)
         try:
             op.multiply(vectors[0], output="dense")
             ex = op._executor.stats()
@@ -173,13 +146,13 @@ class TestStats:
             op._executor.close()
 
     def test_close_is_idempotent(self, coo, vectors):
-        op = ShardedSpMSpV(coo, n_shards=4, parallel=thread_cfg(2))
+        op = ShardedSpMSpV(coo, n_shards=4, parallel=2)
         op.multiply(vectors[0], output="dense")
         op._executor.close()
         op._executor.close()
 
     def test_last_plan_records_placement(self, coo, vectors):
-        op = ShardedSpMSpV(coo, n_shards=4, parallel=thread_cfg(2))
+        op = ShardedSpMSpV(coo, n_shards=4, parallel=2)
         assert op._last_plan is None
         op.multiply(vectors[0], output="dense")
         plan = op._last_plan
@@ -192,7 +165,7 @@ class TestBatchQueueAffinity:
     def test_affinity_seeds_from_residency(self, coo, vectors):
         sm = ShardedTiledMatrix.from_coo(coo, nt=16, n_shards=4)
         q = BatchQueue(sm, max_batch=len(vectors),
-                       parallel=thread_cfg(2))
+                       parallel=2)
         for x in vectors:
             q.submit(x, PLUS_TIMES)
         q.flush()
@@ -202,19 +175,10 @@ class TestBatchQueueAffinity:
         q.flush()
         assert q.stats()["affinity_seeded"] > 0
 
-    def test_affinity_off_never_seeds(self, coo, vectors):
-        sm = ShardedTiledMatrix.from_coo(coo, nt=16, n_shards=4)
-        q = BatchQueue(sm, max_batch=1, shard_affinity=False,
-                       parallel=thread_cfg(2))
-        for x in vectors:
-            q.submit(x, PLUS_TIMES)
-        q.flush()
-        assert q.stats()["affinity_seeded"] == 0
-
     def test_results_match_unqueued_batch(self, coo, vectors):
         sm = ShardedTiledMatrix.from_coo(coo, nt=16, n_shards=4)
         q = BatchQueue(sm, max_batch=len(vectors),
-                       parallel=thread_cfg(2))
+                       parallel=2)
         tickets = [q.submit(x, PLUS_TIMES, output="dense")
                    for x in vectors]
         ref = ShardedSpMSpV(coo, n_shards=4).multiply_batch(

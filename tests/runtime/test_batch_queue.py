@@ -289,3 +289,34 @@ def test_wrong_length_vector_fails_only_its_caller():
         assert t.done and t.batch_size == 2
         assert np.array_equal(t.result().indices, r.result().indices)
         assert np.array_equal(t.result().values, r.result().values)
+
+
+def test_failing_batch_resolves_every_batchmate(coo):
+    """An engine error fails the whole batch, not only the caller whose
+    submit dispatched it: every ticket is done and re-raises the error,
+    ``on_dispatch`` still reports the batch, and the queue keeps
+    serving afterwards."""
+    served = []
+    q = BatchQueue(coo, max_batch=3,
+                   on_dispatch=lambda ts, bid, ms: served.append(ts))
+    engine = q._engine(PLUS_TIMES)
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("engine failure")
+
+    engine.multiply_batch = boom
+    t1, t2 = q.submit(vec(1)), q.submit(vec(2))
+    with pytest.raises(RuntimeError, match="engine failure"):
+        q.submit(vec(3))                  # triggers the size dispatch
+    assert q.pending == 0 and t1.done and t2.done
+    for t in (t1, t2):
+        with pytest.raises(RuntimeError, match="engine failure"):
+            t.result()
+    assert len(served) == 1 and len(served[0]) == 3
+    assert all(t.done for t in served[0])
+
+    del engine.multiply_batch
+    t4 = q.submit(vec(4))
+    y_ref = TileSpMSpV(coo).multiply(vec(4))
+    assert np.array_equal(t4.result().indices, y_ref.indices)
+    assert np.array_equal(t4.result().values, y_ref.values)

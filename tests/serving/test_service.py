@@ -6,7 +6,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.core import TileBFS, TileSpMSpV
+from repro.core import BatchedSpMSpV, TileBFS, TileSpMSpV
 from repro.errors import ShapeError
 from repro.formats import COOMatrix
 from repro.gpusim import Device
@@ -246,6 +246,51 @@ class TestDeadlineDispatch:
         y = asyncio.run(main())
         assert np.array_equal(
             y.to_dense(), TileSpMSpV(coo).multiply(vec(4)).to_dense())
+
+    def test_failed_batch_fails_its_awaiters_and_keeps_serving(self,
+                                                               coo):
+        # the dispatch loop fires the failing batch on its latency
+        # budget: both awaiters get the engine error, their records
+        # close as errors, and the loop survives to serve a clean
+        # request bit-identical to a direct engine call
+        clk = VirtualClock()
+        svc = make_service(coo, clock=clk, max_batch=100,
+                           max_delay_ms=5.0)
+        engine = svc._served["m"].queue._engine(PLUS_TIMES)
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("engine failure")
+
+        async def batch(seeds):
+            futs = [asyncio.ensure_future(
+                        svc.submit(MultiplyQuery("m", vec(s))))
+                    for s in seeds]
+            await asyncio.sleep(0)            # enqueue the requests
+            clk.advance(5.0 / 1e3)
+            svc._kick()
+            return await asyncio.wait_for(
+                asyncio.gather(*futs, return_exceptions=True), timeout=5)
+
+        async def main():
+            await svc.start()
+            try:
+                engine.multiply_batch = boom
+                failed = await batch((1, 2))
+                del engine.multiply_batch
+                return failed, await batch((3,))
+            finally:
+                await svc.stop()
+
+        failed, (y,) = asyncio.run(main())
+        assert [str(e) for e in failed] == ["engine failure"] * 2
+        assert all(isinstance(e, RuntimeError) for e in failed)
+        for rec in svc.log.records[:2]:
+            assert rec.status == "error" and rec.done_s is not None
+        assert svc.log.records[2].status == "ok"
+        (y_ref,) = BatchedSpMSpV(coo).multiply_batch([vec(3)])
+        assert np.array_equal(y.indices, y_ref.indices)
+        assert np.array_equal(y.values.view(np.uint8),
+                              y_ref.values.view(np.uint8))
 
 
 class TestObservability:

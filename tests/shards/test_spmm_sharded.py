@@ -16,7 +16,6 @@ import pytest
 
 from repro.core import TileSpMM
 from repro.gpusim import Device
-from repro.parallel import ParallelConfig
 from repro.semiring import MIN_PLUS, OR_AND, PLUS_TIMES
 from repro.shards import ShardedSpMSpV, ShardedTiledMatrix
 from repro.vectors import SparseVector, random_sparse_vector
@@ -68,8 +67,7 @@ class TestInvariance:
     def test_bit_identical_across_worker_counts(self, coo, workers):
         vecs = vectors(3)
         y1 = sharded(coo, 4).multiply_block(vecs, output="dense")
-        cfg = ParallelConfig(workers=workers, backend="thread")
-        yw = sharded(coo, 4, parallel=cfg).multiply_block(
+        yw = sharded(coo, 4, parallel=workers).multiply_block(
             vecs, output="dense")
         assert np.array_equal(yw.view(np.uint64), y1.view(np.uint64))
 
@@ -127,12 +125,22 @@ class TestDispatch:
         for j, sv in enumerate(ys):
             assert np.array_equal(sv.to_dense(), Y[:, j])
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_parallel_backends_agree(self, coo, backend):
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_parallel_backends_agree(self, coo, backend, tmp_path):
+        # the store picks the backend: in-memory runs on threads, a
+        # directory store on forked worker processes
         vecs = vectors(3)
-        cfg = ParallelConfig(workers=2, backend=backend)
-        y = sharded(coo, 4, parallel=cfg).multiply_block(
-            vecs, output="dense")
+        matrix = coo
+        if backend == "process":
+            ShardedTiledMatrix.from_coo(coo, nt=NT, n_shards=4,
+                                        store_dir=tmp_path / "s")
+            matrix = ShardedTiledMatrix.open(tmp_path / "s")
+        op = sharded(matrix, 4, parallel=2)
+        try:
+            y = op.multiply_block(vecs, output="dense")
+            assert op.stats()["backend"] == backend
+        finally:
+            op._executor.close()
         y_ref = sharded(coo, 4).multiply_block(vecs, output="dense")
         assert np.array_equal(y.view(np.uint64),
                               y_ref.view(np.uint64))
