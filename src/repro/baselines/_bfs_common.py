@@ -14,7 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import ShapeError
-from ..formats.coo import COOMatrix
+from ..formats.convert import to_coo
 from ..formats.csc import CSCMatrix
 from ..formats.csr import CSRMatrix
 
@@ -23,12 +23,7 @@ __all__ = ["build_adjacency", "expand_push", "expand_pull"]
 
 def build_adjacency(matrix) -> Tuple[CSRMatrix, CSCMatrix]:
     """Normalise any matrix-like input into (CSR, CSC) pattern pair."""
-    from ..formats.base import SparseMatrix
-
-    if isinstance(matrix, SparseMatrix):
-        coo = matrix.to_coo()
-    else:
-        coo = COOMatrix.from_dense(np.asarray(matrix))
+    coo = to_coo(matrix)
     if coo.shape[0] != coo.shape[1]:
         raise ShapeError(f"BFS requires a square matrix, got {coo.shape}")
     return coo.to_csr(), coo.to_csc()

@@ -26,11 +26,9 @@ import numpy as np
 
 from .._util import group_starts
 from ..errors import ShapeError
-from ..formats.base import SparseMatrix
-from ..formats.coo import COOMatrix
-from ..formats.csc import CSCMatrix
+from ..formats.convert import to_csc
 from ..gpusim import Device, KernelCounters
-from ..runtime import ExecutionContext
+from ..runtime import ScopedOperator
 from ..semiring import PLUS_TIMES, Semiring
 from ..vectors.sparse_vector import SparseVector
 
@@ -42,35 +40,20 @@ __all__ = ["CombBLASSpMSpV"]
 DEFAULT_BUCKET_ROWS = 4096
 
 
-class CombBLASSpMSpV:
+class CombBLASSpMSpV(ScopedOperator):
     """Prepared SpMSpV-bucket operator over CSC storage."""
+
+    operator = "combblas"
 
     def __init__(self, matrix, bucket_rows: int = DEFAULT_BUCKET_ROWS,
                  semiring: Semiring = PLUS_TIMES,
                  device: Optional[Device] = None):
-        if isinstance(matrix, CSCMatrix):
-            self.csc = matrix
-        elif isinstance(matrix, SparseMatrix):
-            self.csc = matrix.to_csc()
-        else:
-            self.csc = COOMatrix.from_dense(np.asarray(matrix)).to_csc()
+        super().__init__(device)
+        self.csc = to_csc(matrix)
         if bucket_rows <= 0:
             raise ShapeError(f"bucket_rows must be positive, got {bucket_rows}")
         self.bucket_rows = int(bucket_rows)
         self.semiring = semiring
-        self.ctx = ExecutionContext.wrap(device, operator="combblas")
-
-    @property
-    def device(self) -> Optional[Device]:
-        """The attached simulated GPU (held by the launch context)."""
-        return self.ctx.device
-
-    @device.setter
-    def device(self, device) -> None:
-        if isinstance(device, ExecutionContext):
-            self.ctx = device.scoped("combblas")
-        else:
-            self.ctx.device = device
 
     @property
     def shape(self):

@@ -18,17 +18,16 @@ from typing import Optional, Union
 import numpy as np
 
 from ..errors import ShapeError
-from ..formats.base import SparseMatrix
 from ..formats.bsr import BSRMatrix
-from ..formats.coo import COOMatrix
+from ..formats.convert import to_bsr
 from ..gpusim import Device, KernelCounters
-from ..runtime import ExecutionContext
+from ..runtime import ScopedOperator
 from ..vectors.sparse_vector import SparseVector
 
 __all__ = ["CuSparseBSRMV"]
 
 
-class CuSparseBSRMV:
+class CuSparseBSRMV(ScopedOperator):
     """Prepared ``bsrmv``-style operator.
 
     Parameters
@@ -42,29 +41,15 @@ class CuSparseBSRMV:
         Optional simulated GPU.
     """
 
+    operator = "cusparse-bsr"
+
     def __init__(self, matrix, blocksize: int = 16,
                  device: Optional[Device] = None):
+        super().__init__(device)
         if isinstance(matrix, BSRMatrix):
             self.bsr = matrix
         else:
-            if isinstance(matrix, SparseMatrix):
-                coo = matrix.to_coo()
-            else:
-                coo = COOMatrix.from_dense(np.asarray(matrix))
-            self.bsr = BSRMatrix.from_coo(coo, blocksize)
-        self.ctx = ExecutionContext.wrap(device, operator="cusparse-bsr")
-
-    @property
-    def device(self) -> Optional[Device]:
-        """The attached simulated GPU (held by the launch context)."""
-        return self.ctx.device
-
-    @device.setter
-    def device(self, device) -> None:
-        if isinstance(device, ExecutionContext):
-            self.ctx = device.scoped("cusparse-bsr")
-        else:
-            self.ctx.device = device
+            self.bsr = to_bsr(matrix, blocksize)
 
     @property
     def shape(self):

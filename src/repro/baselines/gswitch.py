@@ -25,7 +25,7 @@ import numpy as np
 from ..core.tilebfs import BFSResult, IterationRecord
 from ..errors import ShapeError
 from ..gpusim import Device, KernelCounters
-from ..runtime import ExecutionContext
+from ..runtime import ScopedOperator
 from ._bfs_common import build_adjacency, expand_pull, expand_push
 
 __all__ = ["GSwitchBFS"]
@@ -34,27 +34,16 @@ __all__ = ["GSwitchBFS"]
 WARMUP_ITERATIONS = 3
 
 
-class GSwitchBFS:
+class GSwitchBFS(ScopedOperator):
     """Prepared GSwitch-style adaptive BFS operator."""
 
+    operator = "gswitch"
+
     def __init__(self, matrix, device: Optional[Device] = None):
+        super().__init__(device)
         self.csr, self.csc = build_adjacency(matrix)
         self.n = self.csr.shape[0]
         self.nnz = self.csr.nnz
-        self.ctx = ExecutionContext.wrap(device, operator="gswitch")
-
-    # ------------------------------------------------------------------
-    @property
-    def device(self) -> Optional[Device]:
-        """The attached simulated GPU (held by the launch context)."""
-        return self.ctx.device
-
-    @device.setter
-    def device(self, device) -> None:
-        if isinstance(device, ExecutionContext):
-            self.ctx = device.scoped("gswitch")
-        else:
-            self.ctx.device = device
 
     # ------------------------------------------------------------------
     def run(self, source: int, max_depth: Optional[int] = None) -> BFSResult:

@@ -24,13 +24,13 @@ import numpy as np
 from ..core.tilebfs import BFSResult, IterationRecord
 from ..errors import ShapeError
 from ..gpusim import Device, KernelCounters
-from ..runtime import ExecutionContext
+from ..runtime import ScopedOperator
 from ._bfs_common import build_adjacency, expand_pull, expand_push
 
 __all__ = ["GunrockBFS"]
 
 
-class GunrockBFS:
+class GunrockBFS(ScopedOperator):
     """Prepared Gunrock-style BFS operator.
 
     Parameters
@@ -48,29 +48,18 @@ class GunrockBFS:
         Optional simulated GPU.
     """
 
+    operator = "gunrock"
+
     def __init__(self, matrix, direction_optimized: bool = True,
                  alpha: float = 14.0, beta: float = 24.0,
                  device: Optional[Device] = None):
+        super().__init__(device)
         self.csr, self.csc = build_adjacency(matrix)
         self.n = self.csr.shape[0]
         self.nnz = self.csr.nnz
         self.direction_optimized = direction_optimized
         self.alpha = alpha
         self.beta = beta
-        self.ctx = ExecutionContext.wrap(device, operator="gunrock")
-
-    # ------------------------------------------------------------------
-    @property
-    def device(self) -> Optional[Device]:
-        """The attached simulated GPU (held by the launch context)."""
-        return self.ctx.device
-
-    @device.setter
-    def device(self, device) -> None:
-        if isinstance(device, ExecutionContext):
-            self.ctx = device.scoped("gunrock")
-        else:
-            self.ctx.device = device
 
     # ------------------------------------------------------------------
     def run(self, source: int, max_depth: Optional[int] = None) -> BFSResult:

@@ -23,40 +23,24 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ShapeError
-from ..formats.base import SparseMatrix
-from ..formats.coo import COOMatrix
+from ..formats.convert import to_csr
 from ..formats.csr import CSRMatrix
 from ..formats.spgemm import spgemm
 from ..gpusim import Device, KernelCounters
-from ..runtime import ExecutionContext
+from ..runtime import ScopedOperator
 from ..vectors.sparse_vector import SparseVector
 
 __all__ = ["SpMSpVViaSpGEMM"]
 
 
-class SpMSpVViaSpGEMM:
+class SpMSpVViaSpGEMM(ScopedOperator):
     """SpMSpV by calling the general Gustavson SpGEMM on ``A @ x``."""
 
+    operator = "spmspv-via-spgemm"
+
     def __init__(self, matrix, device: Optional[Device] = None):
-        if isinstance(matrix, CSRMatrix):
-            self.csr = matrix
-        elif isinstance(matrix, SparseMatrix):
-            self.csr = matrix.to_csr()
-        else:
-            self.csr = COOMatrix.from_dense(np.asarray(matrix)).to_csr()
-        self.ctx = ExecutionContext.wrap(device, operator="spmspv-via-spgemm")
-
-    @property
-    def device(self) -> Optional[Device]:
-        """The attached simulated GPU (held by the launch context)."""
-        return self.ctx.device
-
-    @device.setter
-    def device(self, device) -> None:
-        if isinstance(device, ExecutionContext):
-            self.ctx = device.scoped("spmspv-via-spgemm")
-        else:
-            self.ctx.device = device
+        super().__init__(device)
+        self.csr = to_csr(matrix)
 
     @property
     def shape(self):

@@ -18,10 +18,9 @@ from typing import Optional, Union
 import numpy as np
 
 from ..errors import ShapeError
-from ..formats.base import SparseMatrix
-from ..formats.coo import COOMatrix
+from ..formats.convert import to_coo
 from ..gpusim import Device, KernelCounters
-from ..runtime import ExecutionContext
+from ..runtime import ScopedOperator
 from ..semiring import PLUS_TIMES, Semiring
 from ..tiles.tiled_matrix import TiledMatrix
 from ..vectors.sparse_vector import SparseVector
@@ -29,38 +28,24 @@ from ..vectors.sparse_vector import SparseVector
 __all__ = ["TileSpMV"]
 
 
-class TileSpMV:
+class TileSpMV(ScopedOperator):
     """Prepared TileSpMV operator (dense-vector tiled SpMV).
 
     Parameters mirror :class:`repro.core.TileSpMSpV` minus extraction
     (TileSpMV stores everything in tiles).
     """
 
+    operator = "tilespmv"
+
     def __init__(self, matrix, nt: int = 16,
                  semiring: Semiring = PLUS_TIMES,
                  device: Optional[Device] = None):
+        super().__init__(device)
         if isinstance(matrix, TiledMatrix):
             self.tiled = matrix
         else:
-            if isinstance(matrix, SparseMatrix):
-                coo = matrix.to_coo()
-            else:
-                coo = COOMatrix.from_dense(np.asarray(matrix))
-            self.tiled = TiledMatrix.from_coo(coo, nt)
+            self.tiled = TiledMatrix.from_coo(to_coo(matrix), nt)
         self.semiring = semiring
-        self.ctx = ExecutionContext.wrap(device, operator="tilespmv")
-
-    @property
-    def device(self) -> Optional[Device]:
-        """The attached simulated GPU (held by the launch context)."""
-        return self.ctx.device
-
-    @device.setter
-    def device(self, device) -> None:
-        if isinstance(device, ExecutionContext):
-            self.ctx = device.scoped("tilespmv")
-        else:
-            self.ctx.device = device
 
     @property
     def shape(self):

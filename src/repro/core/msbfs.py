@@ -12,15 +12,9 @@ The expansion is vector-driven over CSC like Push-CSC: only vertices
 whose frontier word is non-empty push, and a vertex is retired from the
 frontier once every source has seen it.
 
-Two engines drive the same level-synchronous traversal:
-
-* ``engine="words"`` (default) — the word-packed expansion above; at
-  most 64 sources per run (one bit each);
-* ``engine="batched"`` — each source's frontier rides one 0/1-valued
-  sparse vector through the coalesced batched SpMSpV engine
-  (:class:`~repro.core.batched.BatchedSpMSpV`): any number of sources,
-  each round is one union launch over the whole batch, and the levels
-  are identical to the words engine.
+A run takes any number of sources: more than 64 traverse as
+consecutive 64-source groups, one word each, whose level rows are
+concatenated in source order.
 """
 
 from __future__ import annotations
@@ -33,9 +27,9 @@ import numpy as np
 from .._util import concat_ranges
 from ..errors import ShapeError
 from ..fastpath import fastpath_tier
-from ..formats.coo import COOMatrix
+from ..formats.convert import to_coo
 from ..gpusim import Device, KernelCounters
-from ..runtime import ExecutionContext
+from ..runtime import ScopedOperator
 from ..tiles.bitmask import segmented_scatter_or
 
 __all__ = ["MultiSourceBFS", "MSBFSResult", "msbfs_expand"]
@@ -97,7 +91,8 @@ class MSBFSResult:
     simulated_ms:
         Total simulated GPU time (when a device was attached).
     iterations:
-        Number of synchronised rounds executed.
+        Number of synchronised rounds executed (the most any one
+        64-source group ran).
     """
 
     sources: np.ndarray
@@ -113,7 +108,7 @@ class MSBFSResult:
         return self.levels[hits[0]]
 
 
-class MultiSourceBFS:
+class MultiSourceBFS(ScopedOperator):
     """Prepared MS-BFS operator for one square adjacency pattern.
 
     Parameters
@@ -122,74 +117,31 @@ class MultiSourceBFS:
         Square sparse pattern (values ignored).
     device:
         Optional simulated GPU.
-    engine:
-        ``"words"`` (default) — the 64-bit word-packed expansion,
-        at most :data:`WORD_SOURCES` sources per run; ``"batched"`` —
-        frontiers ride the coalesced batched SpMSpV engine, any number
-        of sources per run.
-    nt:
-        Tile size of the batched engine (ignored by ``"words"``).
     """
 
-    def __init__(self, matrix, device: Optional[Device] = None,
-                 engine: str = "words", nt: int = 16):
-        from ..formats.base import SparseMatrix
+    operator = "msbfs"
 
-        if engine not in ("words", "batched"):
-            raise ShapeError(
-                f"unknown MS-BFS engine {engine!r}; "
-                f"expected 'words' or 'batched'"
-            )
-        if isinstance(matrix, SparseMatrix):
-            coo = matrix.to_coo()
-        else:
-            coo = COOMatrix.from_dense(np.asarray(matrix))
+    def __init__(self, matrix, device: Optional[Device] = None):
+        super().__init__(device)
+        coo = to_coo(matrix)
         if coo.shape[0] != coo.shape[1]:
             raise ShapeError(
                 f"MS-BFS requires a square matrix, got {coo.shape}"
             )
         self.n = coo.shape[0]
         self.nnz = coo.nnz
-        self.engine = engine
-        self.ctx = ExecutionContext.wrap(device, operator="msbfs")
-        if engine == "batched":
-            from .batched import BatchedSpMSpV
-
-            # traversal only needs the pattern: all-ones values make
-            # y = A x count frontier in-neighbours (>=1 means reached),
-            # matching the word engine's push direction exactly
-            pattern = COOMatrix(coo.shape, coo.row, coo.col,
-                                np.ones(coo.nnz)).canonicalize()
-            self._spmspv = BatchedSpMSpV(pattern, nt=nt, device=self.ctx)
-            self.csc = None
-        else:
-            self.csc = coo.to_csc()
-            self._spmspv = None
-
-    # ------------------------------------------------------------------
-    @property
-    def device(self) -> Optional[Device]:
-        """The attached simulated GPU (held by the launch context)."""
-        return self.ctx.device
-
-    @device.setter
-    def device(self, device) -> None:
-        if isinstance(device, ExecutionContext):
-            self.ctx = device.scoped("msbfs")
-        else:
-            self.ctx.device = device
-        if self._spmspv is not None:
-            self._spmspv.device = self.ctx
+        self.csc = coo.to_csc()
 
     # ------------------------------------------------------------------
     def run(self, sources: Sequence[int],
             max_depth: Optional[int] = None) -> MSBFSResult:
         """Traverse from many sources simultaneously.
 
-        The ``"words"`` engine packs up to 64 sources into one machine
-        word; the ``"batched"`` engine takes any number of sources (one
-        coalesced SpMSpV launch per round for the whole batch).  Both
-        produce identical level arrays.
+        Up to :data:`WORD_SOURCES` sources share one machine word and
+        advance in lockstep; more run as consecutive word-sized groups.
+        The result concatenates the groups' level rows in source order,
+        sums their simulated time, and counts the most rounds any group
+        ran.
         """
         sources = np.asarray(list(sources), dtype=np.int64)
         if len(sources) == 0:
@@ -198,13 +150,20 @@ class MultiSourceBFS:
             raise ShapeError("MS-BFS sources must be distinct")
         if sources.min() < 0 or sources.max() >= self.n:
             raise ShapeError(f"source out of range for n={self.n}")
-        if self.engine == "batched":
-            return self._run_batched(sources, max_depth)
-        if len(sources) > WORD_SOURCES:
-            raise ShapeError(
-                f"MS-BFS packs at most {WORD_SOURCES} sources per run, "
-                f"got {len(sources)} (engine='batched' lifts the limit)"
-            )
+        if len(sources) <= WORD_SOURCES:
+            return self._run_word(sources, max_depth)
+        groups = [self._run_word(sources[s:s + WORD_SOURCES], max_depth)
+                  for s in range(0, len(sources), WORD_SOURCES)]
+        return MSBFSResult(
+            sources=sources,
+            levels=np.concatenate([g.levels for g in groups]),
+            simulated_ms=sum(g.simulated_ms for g in groups),
+            iterations=max(g.iterations for g in groups))
+
+    def _run_word(self, sources: np.ndarray,
+                  max_depth: Optional[int]) -> MSBFSResult:
+        """One lockstep traversal of at most :data:`WORD_SOURCES`
+        sources, one bit each."""
         k = len(sources)
 
         visited = np.zeros(self.n, dtype=_U64)
@@ -248,50 +207,6 @@ class MultiSourceBFS:
                 levels[bi, chunk[vi]] = depth
             visited |= new
             frontier = new
-        return result
-
-    # ------------------------------------------------------------------
-    def _run_batched(self, sources: np.ndarray,
-                     max_depth: Optional[int]) -> MSBFSResult:
-        """Level-synchronous traversal over the batched SpMSpV engine:
-        one 0/1-valued sparse frontier per source, one coalesced union
-        launch per round for the whole batch."""
-        from ..vectors.sparse_vector import SparseVector
-
-        k = len(sources)
-        visited = np.zeros((k, self.n), dtype=bool)
-        visited[np.arange(k), sources] = True
-        levels = np.full((k, self.n), -1, dtype=np.int64)
-        levels[np.arange(k), sources] = 0
-        frontiers = [np.array([s], dtype=np.int64) for s in sources]
-
-        result = MSBFSResult(sources=sources, levels=levels)
-        depth = 0
-        start_ms = self.ctx.elapsed_ms
-        while True:
-            if max_depth is not None and depth >= max_depth:
-                break
-            depth += 1
-            live = [b for b in range(k) if len(frontiers[b])]
-            if not live:
-                break
-            xs = [SparseVector(self.n, frontiers[b],
-                               np.ones(len(frontiers[b])))
-                  for b in live]
-            Y = self._spmspv.multiply_batch(xs, output="dense",
-                                            tag=f"round={depth}")
-            result.iterations += 1
-            any_new = False
-            for i, b in enumerate(live):
-                new = np.flatnonzero((Y[i] != 0) & ~visited[b])
-                frontiers[b] = new
-                if len(new):
-                    any_new = True
-                    levels[b, new] = depth
-                    visited[b, new] = True
-            if not any_new:
-                break
-        result.simulated_ms = self.ctx.elapsed_ms - start_ms
         return result
 
     # ------------------------------------------------------------------

@@ -27,11 +27,11 @@ from typing import Optional, Union
 import numpy as np
 
 from ..errors import ShapeError, TileError
-from ..formats.base import SparseMatrix
+from ..formats.convert import to_coo
 from ..formats.coo import COOMatrix
 from ..gpusim import Device, KernelCounters
 from ..runtime import (ExecutionContext, OperatorPlan, PlanCache,
-                       default_plan_cache, matrix_token)
+                       ScopedOperator, default_plan_cache, matrix_token)
 from ..semiring import PLUS_TIMES, Semiring
 from ..tiles.extraction import (HybridTiledMatrix, IndexedSideMatrix,
                                  split_very_sparse_tiles)
@@ -108,11 +108,12 @@ def shape_output(y_dense: np.ndarray, output: str, semiring: Semiring,
                                    dtype=semiring.dtype)
 
 
-class TiledOperator:
+class TiledOperator(ScopedOperator):
     """The prepared operator the tiled multiply family shares.
 
     Everything but the kernels: the tile-size check, the launch context
-    (tagged with the subclass's :attr:`operator`), the preprocessing
+    (the :class:`~repro.runtime.ScopedOperator` base, tagged with the
+    subclass's :attr:`operator`), the preprocessing
     plan — the hybrid tiling plus the indexed COO side matrix, looked
     up in the plan cache or built from a prebuilt tiling — and, for a
     :class:`~repro.shards.sharded_matrix.ShardedTiledMatrix`,
@@ -122,10 +123,6 @@ class TiledOperator:
     so every operator over one matrix shares one tiling.
     """
 
-    #: Operator tag of the launch context (trace events carry it);
-    #: each subclass names its own.
-    operator: Optional[str] = None
-
     def __init__(self, matrix, nt: int, extract_threshold: int,
                  semiring: Semiring, device, plan_cache: Optional[PlanCache],
                  parallel, mode: str = "csr"):
@@ -133,9 +130,8 @@ class TiledOperator:
             raise TileError(
                 f"unsupported tile size {nt}; allowed: {SUPPORTED_TILE_SIZES}"
             )
+        super().__init__(device)
         self.semiring = semiring
-        self.ctx = ExecutionContext.wrap(device, operator=self.operator)
-        self._sharded = None
         self._plan = None
         self.hybrid = None
         self._side_index = None
@@ -173,20 +169,6 @@ class TiledOperator:
         self._side_index = self._plan.data["side_index"]
 
     # ------------------------------------------------------------------
-    @property
-    def device(self) -> Optional[Device]:
-        """The attached simulated GPU (held by the launch context)."""
-        return self.ctx.device
-
-    @device.setter
-    def device(self, device) -> None:
-        if isinstance(device, ExecutionContext):
-            self.ctx = device.scoped(self.operator)
-        else:
-            self.ctx.device = device
-        if self._sharded is not None:
-            self._sharded.device = device
-
     @property
     def _prepared(self):
         """What the operator multiplies: the sharded engine or the
@@ -528,11 +510,7 @@ def _build_spmspv_plan(matrix, nt: int, extract_threshold: int,
                        key) -> OperatorPlan:
     """Full Fig. 11 preprocessing: COO conversion, tiling, and
     very-sparse-tile extraction (the cache-miss path)."""
-    if isinstance(matrix, SparseMatrix):
-        coo = matrix.to_coo()
-    else:
-        coo = COOMatrix.from_dense(np.asarray(matrix))
-    hybrid = split_very_sparse_tiles(coo, nt,
+    hybrid = split_very_sparse_tiles(to_coo(matrix), nt,
                                      threshold=extract_threshold)
     return _spmspv_plan(hybrid, key=key)
 

@@ -26,10 +26,10 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..errors import ShapeError
-from ..formats.base import SparseMatrix
+from ..formats.convert import to_coo
 from ..formats.coo import COOMatrix
 from ..gpusim import Device, KernelCounters
-from ..runtime import (ExecutionContext, OperatorPlan, PlanCache,
+from ..runtime import (OperatorPlan, PlanCache, ScopedOperator,
                        default_plan_cache, matrix_token)
 from ..tiles.bitmask import (BitTiledMatrix, BitVector,
                              pattern_is_symmetric)
@@ -106,7 +106,7 @@ class BFSResult:
         return nnz / (self.simulated_ms * 1e-3) / 1e9
 
 
-class TileBFS:
+class TileBFS(ScopedOperator):
     """Prepared TileBFS operator for one (square) adjacency matrix.
 
     Parameters
@@ -128,14 +128,16 @@ class TileBFS:
         Optional simulated GPU receiving launch records.
     """
 
+    operator = "tilebfs"
+
     def __init__(self, matrix, nt: Optional[int] = None,
                  selector: Optional[KernelSelector] = None,
                  extract_threshold: int = 2,
                  device: Optional[Device] = None,
                  plan_cache: Optional[PlanCache] = None,
                  parallel=None):
+        super().__init__(device)
         self.selector = selector or KernelSelector()
-        self.ctx = ExecutionContext.wrap(device, operator="tilebfs")
         # deferred import: repro.shards imports core modules
         from ..shards.sharded_matrix import ShardedTiledMatrix
         if isinstance(matrix, ShardedTiledMatrix):
@@ -148,7 +150,7 @@ class TileBFS:
             # sharded engine's pattern view (per-shard all-ones tiling,
             # cached on the shard plans) — the bitmask A1/A2 forms stay
             # an in-core specialisation.
-            self._sharded: Optional[ShardedSpMSpV] = ShardedSpMSpV(
+            self._sharded = ShardedSpMSpV(
                 matrix, device=self.ctx, plan_cache=plan_cache,
                 pattern_only=True, parallel=parallel)
             self.n = matrix.shape[0]
@@ -159,7 +161,6 @@ class TileBFS:
             self.symmetric = False
             self._plan = None
             return
-        self._sharded = None
         cache = plan_cache if plan_cache is not None \
             else default_plan_cache()
         key = ("tilebfs", matrix_token(matrix), nt, extract_threshold)
@@ -181,21 +182,6 @@ class TileBFS:
         #: Whether the tiled pattern is symmetric — the validity
         #: condition of Pull-CSC (see :meth:`run_multi`).
         self.symmetric = data["symmetric"]
-
-    # ------------------------------------------------------------------
-    @property
-    def device(self) -> Optional[Device]:
-        """The attached simulated GPU (held by the launch context)."""
-        return self.ctx.device
-
-    @device.setter
-    def device(self, device) -> None:
-        if isinstance(device, ExecutionContext):
-            self.ctx = device.scoped("tilebfs")
-        else:
-            self.ctx.device = device
-        if self._sharded is not None:
-            self._sharded.device = device
 
     # ------------------------------------------------------------------
     def _use_fused(self) -> bool:
@@ -460,10 +446,7 @@ def _build_bfs_plan(matrix, nt: Optional[int], extract_threshold: int,
     """TileBFS preprocessing (the cache-miss path): COO conversion,
     tile-size selection, very-sparse-tile extraction, and the A1/A2
     bitmask compressions of Fig. 5."""
-    if isinstance(matrix, SparseMatrix):
-        coo = matrix.to_coo()
-    else:
-        coo = COOMatrix.from_dense(np.asarray(matrix))
+    coo = to_coo(matrix)
     if coo.shape[0] != coo.shape[1]:
         raise ShapeError(f"BFS requires a square matrix, got {coo.shape}")
     n = coo.shape[0]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
+from ..formats.convert import to_csc
 from ..formats.csc import CSCMatrix
 
 __all__ = ["bfs_levels"]
@@ -22,13 +23,7 @@ def bfs_levels(matrix, source: int) -> np.ndarray:
     ``A[i, j]`` is the edge ``j -> i``, so the out-neighbours of ``j``
     are column ``j``.
     """
-    from ..formats.base import SparseMatrix
-    from ..formats.coo import COOMatrix
-
-    if isinstance(matrix, SparseMatrix):
-        csc = matrix.to_csc()
-    else:
-        csc = COOMatrix.from_dense(np.asarray(matrix)).to_csc()
+    csc = to_csc(matrix)
     if csc.shape[0] != csc.shape[1]:
         raise ShapeError(f"BFS requires a square matrix, got {csc.shape}")
     n = csc.shape[0]

@@ -15,6 +15,8 @@ import numpy as np
 
 from ..core.spmspv import TileSpMSpV
 from ..errors import ShapeError
+from ..formats.convert import to_coo
+from ..formats.coo import COOMatrix
 from ..gpusim import Device
 from ..semiring import MIN_PLUS, Semiring
 from ..vectors.sparse_vector import SparseVector
@@ -48,13 +50,7 @@ def connected_components(matrix, nt: int = 16,
     ``int64[n]`` labels; ``labels[v]`` is the smallest vertex id
     reachable from ``v``.
     """
-    from ..formats.base import SparseMatrix
-    from ..formats.coo import COOMatrix
-
-    if isinstance(matrix, SparseMatrix):
-        coo = matrix.to_coo()
-    else:
-        coo = COOMatrix.from_dense(np.asarray(matrix))
+    coo = to_coo(matrix)
     if coo.shape[0] != coo.shape[1]:
         raise ShapeError(
             f"connected_components requires a square matrix, "

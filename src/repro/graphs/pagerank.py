@@ -14,6 +14,8 @@ import numpy as np
 
 from ..core.spmspv import TileSpMSpV
 from ..errors import ShapeError
+from ..formats.convert import to_coo
+from ..formats.coo import COOMatrix
 from ..gpusim import Device
 
 __all__ = ["pagerank"]
@@ -39,15 +41,9 @@ def pagerank(matrix, damping: float = 0.85, tol: float = 1e-10,
 
     Returns ``(ranks, iterations)``; ``ranks`` sums to 1.
     """
-    from ..formats.base import SparseMatrix
-    from ..formats.coo import COOMatrix
-
     if not (0.0 < damping < 1.0):
         raise ShapeError(f"damping must be in (0, 1), got {damping}")
-    if isinstance(matrix, SparseMatrix):
-        coo = matrix.to_coo()
-    else:
-        coo = COOMatrix.from_dense(np.asarray(matrix))
+    coo = to_coo(matrix)
     if coo.shape[0] != coo.shape[1]:
         raise ShapeError(f"pagerank requires a square matrix, "
                          f"got {coo.shape}")

@@ -26,6 +26,8 @@ import numpy as np
 
 from ..core.spmm import TileSpMM
 from ..errors import ShapeError
+from ..formats.convert import to_coo
+from ..formats.coo import COOMatrix
 from ..gpusim import Device
 
 __all__ = ["multi_pagerank", "label_propagation"]
@@ -35,13 +37,7 @@ def _normalized_transition(matrix):
     """``(P, dangling, n)``: the column-stochastic transition matrix,
     the dangling-vertex mask, and the vertex count — the exact
     preprocessing :func:`~repro.graphs.pagerank.pagerank` performs."""
-    from ..formats.base import SparseMatrix
-    from ..formats.coo import COOMatrix
-
-    if isinstance(matrix, SparseMatrix):
-        coo = matrix.to_coo()
-    else:
-        coo = COOMatrix.from_dense(np.asarray(matrix))
+    coo = to_coo(matrix)
     if coo.shape[0] != coo.shape[1]:
         raise ShapeError(f"propagation requires a square matrix, "
                          f"got {coo.shape}")

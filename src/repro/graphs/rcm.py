@@ -17,6 +17,7 @@ import numpy as np
 
 from ..core.tilebfs import TileBFS
 from ..errors import ShapeError
+from ..formats.convert import to_coo
 from ..gpusim import Device
 
 __all__ = ["rcm_ordering", "bandwidth"]
@@ -79,13 +80,7 @@ def rcm_ordering(matrix, start: Optional[int] = None,
 def bandwidth(matrix, perm: Optional[np.ndarray] = None) -> int:
     """Matrix bandwidth ``max |i - j|`` over nonzeros, optionally under
     a permutation — the quantity RCM minimises."""
-    from ..formats.base import SparseMatrix
-    from ..formats.coo import COOMatrix
-
-    if isinstance(matrix, SparseMatrix):
-        coo = matrix.to_coo()
-    else:
-        coo = COOMatrix.from_dense(np.asarray(matrix))
+    coo = to_coo(matrix)
     if coo.nnz == 0:
         return 0
     if perm is not None:
@@ -98,11 +93,5 @@ def bandwidth(matrix, perm: Optional[np.ndarray] = None) -> int:
 
 
 def _degrees(matrix, n: int) -> np.ndarray:
-    from ..formats.base import SparseMatrix
-    from ..formats.coo import COOMatrix
-
-    if isinstance(matrix, SparseMatrix):
-        coo = matrix.to_coo()
-    else:
-        coo = COOMatrix.from_dense(np.asarray(matrix))
+    coo = to_coo(matrix)
     return np.bincount(coo.row, minlength=n).astype(np.int64)

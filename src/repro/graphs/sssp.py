@@ -15,6 +15,7 @@ import numpy as np
 
 from ..core.spmspv import TileSpMSpV
 from ..errors import ShapeError
+from ..formats.convert import to_coo
 from ..gpusim import Device
 from ..semiring import MIN_PLUS
 from ..vectors.sparse_vector import SparseVector
@@ -44,13 +45,7 @@ def sssp(matrix, source: int, nt: int = 16,
     -------
     ``float64[n]`` distances; unreachable vertices hold ``inf``.
     """
-    from ..formats.base import SparseMatrix
-    from ..formats.coo import COOMatrix
-
-    if isinstance(matrix, SparseMatrix):
-        coo = matrix.to_coo()
-    else:
-        coo = COOMatrix.from_dense(np.asarray(matrix))
+    coo = to_coo(matrix)
     if coo.shape[0] != coo.shape[1]:
         raise ShapeError(f"sssp requires a square matrix, got {coo.shape}")
     n = coo.shape[0]

@@ -17,6 +17,8 @@ import numpy as np
 
 from ..core.spmspv import TileSpMSpV
 from ..errors import ShapeError
+from ..formats.convert import to_coo
+from ..formats.coo import COOMatrix
 from ..gpusim import Device
 from ..vectors.sparse_vector import SparseVector
 
@@ -43,13 +45,7 @@ def triangles_per_vertex(matrix, nt: int = 16,
     ``int64[n]``: ``t[v]`` = triangles containing ``v``; the global
     count is ``t.sum() / 3``.
     """
-    from ..formats.base import SparseMatrix
-    from ..formats.coo import COOMatrix
-
-    if isinstance(matrix, SparseMatrix):
-        coo = matrix.to_coo()
-    else:
-        coo = COOMatrix.from_dense(np.asarray(matrix))
+    coo = to_coo(matrix)
     if coo.shape[0] != coo.shape[1]:
         raise ShapeError(
             f"triangle counting requires a square matrix, got {coo.shape}"

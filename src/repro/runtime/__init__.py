@@ -9,6 +9,10 @@ every operator in the repo — core algorithms and baselines alike:
   :class:`~repro.gpusim.Device`; every kernel launch goes through
   :meth:`ExecutionContext.launch`, so None-device accounting is skipped
   in exactly one place and structured tracing sees every launch.
+* :class:`ScopedOperator` — the base every prepared operator shares:
+  its tag named once as a class attribute, the ``device=`` argument
+  wrapped into a context scoped to that tag, and the one ``device``
+  property that rebinds it (reaching a delegated sharded engine too).
 * :class:`PlanCache` / :class:`OperatorPlan` — memoises the expensive
   preprocessing (tiling, COO extraction, bitmask compression) keyed by
   ``(matrix id, nt, extract_threshold, semiring, mode)``, so repeated
@@ -27,7 +31,7 @@ every operator in the repo — core algorithms and baselines alike:
 """
 
 from .batch_queue import BatchQueue, BatchTicket
-from .context import ExecutionContext
+from .context import ExecutionContext, ScopedOperator
 from .plan import (OperatorPlan, PlanCache, default_plan_cache,
                    matrix_token, plan_cache_stats, reset_plan_cache)
 from .registry import (OperatorEntry, available_operators,
@@ -37,7 +41,7 @@ from .tracing import Tracer, TraceEvent
 
 __all__ = [
     "BatchQueue", "BatchTicket",
-    "ExecutionContext",
+    "ExecutionContext", "ScopedOperator",
     "OperatorPlan", "PlanCache", "default_plan_cache", "matrix_token",
     "plan_cache_stats", "reset_plan_cache",
     "Tracer", "TraceEvent",

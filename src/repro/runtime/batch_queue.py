@@ -204,13 +204,10 @@ class BatchQueue:
         """Enqueue one multiply request; returns its ticket.
 
         The request may be dispatched before this returns (size or
-        latency budget hit) — check ``ticket.done``.  A vector of the
-        wrong length raises :class:`~repro.errors.ShapeError` here and
-        is never enqueued.
+        latency budget hit) — check ``ticket.done``.  A request that
+        fails :meth:`check_request` raises here and is never enqueued.
         """
-        if output not in ("sparse", "dense"):
-            raise ValueError(f"unknown output mode {output!r}")
-        self.check_vector(x, semiring)
+        self.check_request(x, semiring, output)
         ticket = BatchTicket(self, x, semiring, output)
         group = self._pending.setdefault(semiring, [])
         if not group:
@@ -222,11 +219,20 @@ class BatchQueue:
         self.dispatch_overdue()
         return ticket
 
-    def check_vector(self, x, semiring: Semiring = PLUS_TIMES) -> None:
-        """Raise :class:`~repro.errors.ShapeError` unless ``x`` has the
-        matrix's column count.  :meth:`submit` checks before enqueueing,
-        so a wrong-length vector fails its own caller instead of the
-        batch it would have joined."""
+    def check_request(self, x, semiring: Semiring = PLUS_TIMES,
+                     output: str = "sparse") -> None:
+        """Reject a request before it is enqueued: a ``semiring`` that is
+        not a :class:`~repro.semiring.Semiring` raises ``TypeError`` and
+        an unknown ``output`` ``ValueError`` — both before an engine (and
+        its plan) is built for them — and ``x`` without the matrix's
+        column count :class:`~repro.errors.ShapeError`.  :meth:`submit`
+        checks before enqueueing, so a bad request fails its own caller
+        instead of the batch it would have joined."""
+        if not isinstance(semiring, Semiring):
+            raise TypeError(f"semiring must be a Semiring, got "
+                            f"{type(semiring).__name__}")
+        if output not in ("sparse", "dense"):
+            raise ValueError(f"unknown output mode {output!r}")
         n = self._engine(semiring).shape[1]
         length = getattr(x, "n", None)
         if length is None:
@@ -313,7 +319,7 @@ class BatchQueue:
         batch_id = self._next_batch_id
         self._next_batch_id += 1
         engine = self._engine(semiring)
-        sharded = getattr(engine, "_sharded", None)
+        sharded = engine._sharded
         if sharded is not None:
             self._affinity_seeded += sharded.seed_affinity_from_residency()
         elapsed_before = self.ctx.elapsed_ms

@@ -18,6 +18,9 @@ historical API, still supported everywhere) or an
 two.  Passing one shared context to several operators is how a traced
 multi-operator workload is assembled — each operator scopes the context
 with its own tag, while the device timeline and the tracer are shared.
+Every prepared operator derives that plumbing — its tag, its context
+and the ``device`` property that rebinds it — from
+:class:`ScopedOperator`.
 
 Production mode
 ---------------
@@ -38,7 +41,7 @@ from typing import Callable, List, Optional, Tuple, Union
 from ..gpusim import Device, KernelCounters, KernelTime
 from .tracing import Tracer
 
-__all__ = ["ExecutionContext"]
+__all__ = ["ExecutionContext", "ScopedOperator"]
 
 _MODES = ("modeled", "production")
 
@@ -237,3 +240,39 @@ class ExecutionContext:
         return (f"<ExecutionContext operator={self.operator!r} "
                 f"device={self.device!r} "
                 f"traced={self.tracer is not None}>")
+
+
+class ScopedOperator:
+    """The launch-context plumbing every prepared operator shares.
+
+    A subclass names its tag once, as the class attribute
+    :attr:`operator`; :meth:`__init__` wraps the ``device=`` argument
+    into :attr:`ctx` scoped to that tag, and assigning :attr:`device`
+    rebinds it later: a context is rescoped to the tag, while a raw
+    :class:`~repro.gpusim.Device` (or ``None``) replaces the device and
+    keeps the tracer, mode and replay log.  An operator that delegates
+    to a sharded engine stores it in :attr:`_sharded`, and every
+    rebinding reaches the engine too.
+    """
+
+    #: Operator tag of the launch context (trace events carry it).
+    operator: Optional[str] = None
+    #: The sharded engine this operator delegates to, if any.
+    _sharded = None
+
+    def __init__(self, device: Union[ExecutionContext, Device, None]):
+        self.ctx = ExecutionContext.wrap(device, operator=self.operator)
+
+    @property
+    def device(self) -> Optional[Device]:
+        """The attached simulated GPU (held by the launch context)."""
+        return self.ctx.device
+
+    @device.setter
+    def device(self, device) -> None:
+        if isinstance(device, ExecutionContext):
+            self.ctx = device.scoped(self.operator)
+        else:
+            self.ctx.device = device
+        if self._sharded is not None:
+            self._sharded.device = self.ctx

@@ -193,7 +193,10 @@ def _make_tilebfs(matrix, device=None, **kwargs):
 @register_operator("msbfs", kind="msbfs",
                    summary="bit-parallel multi-source BFS extension",
                    capabilities=("nt",))
-def _make_msbfs(matrix, device=None, **kwargs):
+def _make_msbfs(matrix, device=None, nt=None, **kwargs):
+    # MS-BFS packs sources, not vertices, into words and has no tile
+    # size; ``nt`` is accepted (and ignored) so every graph operator
+    # takes the same grid arguments
     from ..core.msbfs import MultiSourceBFS
     return MultiSourceBFS(matrix, device=device, **kwargs)
 

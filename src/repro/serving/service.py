@@ -381,7 +381,7 @@ class GraphQueryService:
     def _submit_multiply(self, query: MultiplyQuery,
                          tenant: Optional[str]) -> ServingTicket:
         served = self._lookup(query.matrix)
-        served.queue.check_vector(query.x, query.semiring)
+        served.queue.check_request(query.x, query.semiring, query.output)
         rec = self.log.open(tenant or served.tenant, "multiply",
                             query.matrix, query.semiring.name,
                             self._clock())

@@ -65,7 +65,7 @@ from ..core.spmspv import (VectorLike, _warm_active_set,
 from ..core.spmspv_kernels import batched_union_kernel, tiled_kernel
 from ..errors import ShapeError
 from ..gpusim import Device, KernelCounters
-from ..runtime import (ExecutionContext, OperatorPlan, PlanCache,
+from ..runtime import (OperatorPlan, PlanCache, ScopedOperator,
                        default_plan_cache, matrix_token)
 from ..semiring import PLUS_TIMES, Semiring
 from ..tiles.tiled_matrix import TiledMatrix
@@ -200,7 +200,7 @@ def execute_shard(host, sid: int, xts, batched: bool, with_counters: bool,
                        counters=counters, loaded=loaded, evicted=evicted)
 
 
-class ShardedSpMSpV:
+class ShardedSpMSpV(ScopedOperator):
     """SpMSpV over row-strip shards with out-of-core tile storage.
 
     Parameters
@@ -230,6 +230,8 @@ class ShardedSpMSpV:
         results stay bit-identical to sequential.
     """
 
+    operator = "sharded-spmspv"
+
     def __init__(self, matrix, nt: int = 16,
                  semiring: Semiring = PLUS_TIMES,
                  device: Optional[Device] = None,
@@ -240,10 +242,9 @@ class ShardedSpMSpV:
                  plan_cache: Optional[PlanCache] = None,
                  pattern_only: bool = False,
                  parallel=None):
+        super().__init__(device)
         self.semiring = semiring
         self.pattern_only = bool(pattern_only)
-        self.ctx = ExecutionContext.wrap(device,
-                                         operator="sharded-spmspv")
         if isinstance(matrix, ShardedTiledMatrix):
             self.matrix = matrix
         else:
@@ -271,17 +272,6 @@ class ShardedSpMSpV:
         self._last_plan = None
 
     # ------------------------------------------------------------------
-    @property
-    def device(self) -> Optional[Device]:
-        return self.ctx.device
-
-    @device.setter
-    def device(self, device) -> None:
-        if isinstance(device, ExecutionContext):
-            self.ctx = device.scoped("sharded-spmspv")
-        else:
-            self.ctx.device = device
-
     @property
     def shape(self):
         return self.matrix.shape

@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from ..errors import IOFormatError, ShapeError, TileError
-from ..formats.base import SparseMatrix
+from ..formats.convert import to_coo
 from ..formats.coo import COOMatrix
 from ..tiles.tiled_matrix import TiledMatrix
 from ..tiles.tiled_vector import SUPPORTED_TILE_SIZES
@@ -118,14 +118,10 @@ class ShardedTiledMatrix:
             raise TileError(
                 "pass n_shards or rows_per_shard, not both"
             )
-        if isinstance(matrix, SparseMatrix):
-            coo = matrix.to_coo()
-        else:
-            coo = COOMatrix.from_dense(np.asarray(matrix))
         # Canonicalize once, before splitting: per-strip retiling then
         # sees already-summed entries, so every shard's value stream is
         # the canonical one regardless of how many strips there are.
-        coo = coo.sum_duplicates()
+        coo = to_coo(matrix).sum_duplicates()
         m, n = coo.shape
         tile_rows = max(1, -(-m // nt))
         if rows_per_shard is not None:

@@ -57,11 +57,6 @@ class TestCorrectness:
 
 
 class TestValidation:
-    def test_too_many_sources(self):
-        coo = random_graph_coo(200, 3.0, seed=5)
-        with pytest.raises(ShapeError):
-            MultiSourceBFS(coo).run(list(range(WORD_SOURCES + 1)))
-
     def test_duplicate_sources(self):
         coo = random_graph_coo(20, 3.0, seed=6)
         with pytest.raises(ShapeError):
@@ -89,53 +84,38 @@ class TestValidation:
 
 
 class TestBatchedEngine:
-    """``engine="batched"`` routes the traversal through the coalesced
-    multi-vector SpMSpV engine: same levels as the word engine, no
-    64-source cap."""
-
-    def test_levels_identical_to_words_engine(self):
-        coo = random_graph_coo(250, 4.0, seed=21)
-        srcs = [0, 17, 120, 249]
-        words = MultiSourceBFS(coo).run(srcs)
-        batched = MultiSourceBFS(coo, engine="batched").run(srcs)
-        assert np.array_equal(words.levels, batched.levels)
-        assert batched.iterations >= words.iterations - 1
+    """More than :data:`WORD_SOURCES` sources run as consecutive
+    word-sized groups: levels match per-source BFS, simulated time adds
+    up, and every group honours ``max_depth``."""
 
     def test_more_than_word_sources(self):
-        """The word engine rejects > 64 sources; the batched engine
-        takes any number and still matches per-source BFS."""
         coo = random_graph_coo(300, 4.0, seed=22)
         srcs = list(range(WORD_SOURCES + 20))
-        res = MultiSourceBFS(coo, engine="batched").run(srcs)
+        res = MultiSourceBFS(coo).run(srcs)
         assert res.levels.shape == (WORD_SOURCES + 20, 300)
         for s in (0, 40, 70, WORD_SOURCES + 19):
             assert np.array_equal(res.levels_from(s),
                                   nx_levels(coo, s))
 
-    def test_words_engine_keeps_source_cap(self):
-        coo = random_graph_coo(200, 3.0, seed=23)
-        with pytest.raises(ShapeError):
-            MultiSourceBFS(coo, engine="words").run(
-                list(range(WORD_SOURCES + 1)))
-
     def test_max_depth(self):
-        coo = random_graph_coo(100, 4.0, seed=24)
-        res = MultiSourceBFS(coo, engine="batched").run([0, 1],
-                                                        max_depth=2)
-        assert res.levels.max() <= 2
-
-    def test_unknown_engine(self):
-        coo = random_graph_coo(20, 3.0, seed=25)
-        with pytest.raises(ShapeError):
-            MultiSourceBFS(coo, engine="tiles")
+        coo = random_graph_coo(200, 4.0, seed=24)
+        res = MultiSourceBFS(coo).run(range(WORD_SOURCES + 6),
+                                      max_depth=2)
+        assert res.levels.max() == 2
 
     def test_device_time_accumulates(self):
         coo = random_graph_coo(400, 4.0, seed=26)
         dev = Device(RTX3090)
-        res = MultiSourceBFS(coo, engine="batched", device=dev).run(
-            [0, 100, 200])
+        srcs = list(range(0, 400, 3))
+        res = MultiSourceBFS(coo, device=dev).run(srcs)
+        assert len(srcs) > 2 * WORD_SOURCES
         assert res.simulated_ms > 0
         assert res.simulated_ms == pytest.approx(dev.elapsed_ms)
+        groups = [MultiSourceBFS(coo).run(srcs[s:s + WORD_SOURCES])
+                  for s in range(0, len(srcs), WORD_SOURCES)]
+        assert res.iterations == max(g.iterations for g in groups)
+        assert np.array_equal(res.levels,
+                              np.concatenate([g.levels for g in groups]))
 
 
 class TestBatchingAdvantage:

@@ -5,7 +5,9 @@ import pytest
 
 from repro.core import TileSpMSpV
 from repro.gpusim import Device, KernelCounters, RTX3090
-from repro.runtime import ExecutionContext, Tracer
+from repro.runtime import (ExecutionContext, Tracer, available_operators,
+                           create_operator, operator_kind)
+from repro.shards import ShardedTiledMatrix
 from repro.vectors import random_sparse_vector
 
 from ..conftest import random_coo
@@ -105,6 +107,66 @@ class TestOperatorDeviceProperty:
         op.multiply(random_sparse_vector(small_coo.shape[1], 0.1))
         assert len(tracer) > 0
         assert all(ev.operator == "tilespmspv" for ev in tracer.events)
+
+    @pytest.mark.parametrize("name", available_operators())
+    def test_every_operator_rebinds(self, name):
+        """Built with no device, a registered operator rebinds to an
+        assigned traced context (launches carry its tag) and then to a
+        raw device, which keeps the tracer and grows its timeline."""
+        assert set(available_operators()) == set(_OPERATOR_TAGS)
+        coo = random_coo(64, 64, density=0.1, seed=5)
+        op = create_operator(name, coo)
+        assert op.device is None
+        tracer = Tracer()
+        op.device = ExecutionContext(device=Device(RTX3090), tracer=tracer)
+        _run_once(op, name)
+        assert len(tracer) > 0
+        assert {ev.operator for ev in tracer.events} == {_OPERATOR_TAGS[name]}
+        dev = Device(RTX3090)
+        op.device = dev
+        assert op.device is dev
+        _run_once(op, name)
+        assert len(dev.timeline) > 0
+        assert {ev.operator for ev in tracer.events} == {_OPERATOR_TAGS[name]}
+
+    def test_sharded_operator_rebinds_its_engine(self):
+        """TileSpMSpV over a sharded matrix: both kinds of assignment
+        reach the sharded engine, whose launches carry its own tag."""
+        coo = random_coo(64, 64, density=0.1, seed=6)
+        op = TileSpMSpV(ShardedTiledMatrix.from_coo(coo, nt=16, n_shards=2))
+        x = random_sparse_vector(64, 0.2)
+        tracer = Tracer()
+        op.device = ExecutionContext(device=Device(RTX3090), tracer=tracer)
+        op.multiply(x)
+        assert len(tracer) > 0
+        assert {ev.operator for ev in tracer.events} == {"sharded-spmspv"}
+        dev = Device(RTX3090)
+        op.device = dev
+        op.multiply(x)
+        assert len(dev.timeline) > 0
+        assert {ev.operator for ev in tracer.events} == {"sharded-spmspv"}
+
+
+#: The operator tag every registered operator's launches carry.
+_OPERATOR_TAGS = {
+    "tilespmspv": "tilespmspv", "batched-spmspv": "batched_spmspv",
+    "tilespmm": "tilespmm", "sharded-spmspv": "sharded-spmspv",
+    "tilebfs": "tilebfs", "msbfs": "msbfs", "tilespmv": "tilespmv",
+    "cusparse-bsr": "cusparse-bsr", "combblas": "combblas",
+    "spmspv-via-spgemm": "spmspv-via-spgemm", "gunrock": "gunrock",
+    "gswitch": "gswitch", "enterprise": "enterprise",
+}
+
+
+def _run_once(op, name):
+    """One operation of the kind the registry says ``name`` is."""
+    kind = operator_kind(name)
+    if kind == "bfs":
+        op.run(0)
+    elif kind == "msbfs":
+        op.run([0, 1])
+    else:
+        op.multiply(random_sparse_vector(op.shape[1], 0.2))
 
 
 class TestFunctionalEquivalence:

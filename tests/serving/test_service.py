@@ -326,6 +326,26 @@ class TestObservability:
             svc.submit_nowait(MultiplyQuery("m", np.ones(N + 5)))
         assert len(svc.log) == 0 and svc.pending == 0
 
+    def test_bad_semiring_or_output_builds_nothing(self, coo):
+        """A non-Semiring is rejected before an engine (and its tiling
+        plan) is built for it, and a bad output before a record opens;
+        a pending batchmate is untouched."""
+        svc = make_service(coo, max_batch=8)
+        good = svc.submit_nowait(MultiplyQuery("m", vec(1)))
+        queue = svc._lookup("m").queue
+        cache = svc.tenants.partition("default")
+        plans, engines = len(cache), dict(queue._engines)
+        for bad in ("plus_times", None):
+            with pytest.raises(TypeError):
+                svc.submit_nowait(MultiplyQuery("m", vec(2), semiring=bad))
+        with pytest.raises(ValueError):
+            svc.submit_nowait(MultiplyQuery("m", vec(3), output="tiled"))
+        assert len(cache) == plans
+        assert queue._engines == engines
+        assert len(svc.log) == 1 and svc.pending == 1
+        svc.drain()
+        assert good.done and good.record.status == "ok"
+
     def test_failed_direct_query_closes_its_record(self, coo):
         svc = make_service(coo)
         with pytest.raises(Exception):
