@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Wall-clock benchmark of the active-set execution engine.
+"""Wall-clock benchmark of the matched-entry execution engine.
 
 Times the production SpMSpV kernels against the preserved O(nnz) seed
 oracles at swept frontier densities (multiply in CSR / CSC / batched

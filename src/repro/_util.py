@@ -16,6 +16,7 @@ __all__ = [
     "segment_sum",
     "segment_reduce",
     "group_starts",
+    "radix_argsort",
     "ceil_div",
 ]
 
@@ -36,10 +37,11 @@ def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     total = int(lengths.sum())
     if total == 0:
         return np.zeros(0, dtype=np.int64)
-    seg = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-    seg_start = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    within = np.arange(total, dtype=np.int64) - seg_start[seg]
-    return np.asarray(starts, dtype=np.int64)[seg] + within
+    # element k of segment i is starts[i] + (k - seg_start[i]): one
+    # arange plus one repeated per-segment offset
+    seg_start = np.cumsum(lengths) - lengths
+    offset = np.asarray(starts, dtype=np.int64) - seg_start
+    return np.arange(total, dtype=np.int64) + np.repeat(offset, lengths)
 
 
 def gather_ranges(indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -93,3 +95,17 @@ def group_starts(sorted_keys: np.ndarray) -> np.ndarray:
     boundary[0] = True
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
     return np.flatnonzero(boundary)
+
+
+def radix_argsort(keys: np.ndarray) -> np.ndarray:
+    """Stable argsort of non-negative integer keys in 16-bit passes.
+
+    NumPy sorts keys of 16 bits or fewer with a stable O(n) radix sort;
+    wider keys take one such pass per 16-bit digit, least significant
+    first (an LSD radix sort), instead of a comparison sort.
+    """
+    keys = np.asarray(keys)
+    if len(keys) == 0 or int(keys.max()) < 1 << 16:
+        return np.argsort(keys.astype(np.uint16), kind="stable")
+    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    return order[radix_argsort(keys[order] >> 16)]

@@ -1,17 +1,17 @@
-"""Wall-clock microbenchmarks of the active-set execution engine.
+"""Wall-clock microbenchmarks of the matched-entry execution engine.
 
 Everything else under :mod:`repro.bench` reports *simulated* GPU time
 from the cost model; this module times the **host** NumPy execution
-with ``time.perf_counter`` — the cost the active-set rewrite attacks.
+with ``time.perf_counter`` — the cost the matched-entry engine attacks.
 Each workload runs both the production kernels
 (:mod:`repro.core.spmspv_kernels`) and the preserved O(nnz) seed
 oracles (:mod:`repro.core.reference_kernels`) on identical inputs, so
-the recorded speedup is exactly the host-side win of gathering active
-tile columns instead of masking all ``nnz`` entries.
+the recorded speedup is exactly the host-side win of gathering the
+entries whose x slot is set instead of masking all ``nnz`` entries.
 
 ``benchmarks/bench_wallclock.py`` is the CLI wrapper; it writes the
 results to ``BENCH_wallclock.json`` so every PR leaves a perf data
-point behind (see the developer guide, "Active-set execution &
+point behind (see the developer guide, "Matched-entry execution &
 wall-clock benchmarking").
 """
 
@@ -278,14 +278,13 @@ def run_wallclock(scale: int = 17, edge_factor: int = 16, nt: int = 16,
     say(f"tiling {coo.nnz} nonzeros at nt={nt}")
     A = TiledMatrix.from_coo(coo, nt)
     At = TiledMatrix.from_coo(coo.transpose(), nt)
-    for t in (A, At):        # plan-time warming, as TileSpMSpV does
-        t.column_gather()
-        t.entry_rows()
-        t.entry_cols()
-        t.local_row64()
-        t.local_col64()
+    # plan-time warming, as TileSpMSpV does for each form
+    for t in (A, At):
         t.tile_nnz()
         t.n_occupied_tile_rows()
+    A.column_entries()
+    A.column_gather()
+    At.row_entries()
 
     n = A.shape[1]
     rng = np.random.default_rng(seed)

@@ -5,14 +5,15 @@ These are the original functional kernels of
 active entries by building boolean masks over **all** ``A.nnz`` stored
 entries, so their host cost is O(nnz) regardless of how sparse the
 input vector is.  The production kernels replace that mask with a
-plan-time column-gather index (see
-:class:`~repro.tiles.tiled_matrix.ColumnGather`) whose per-multiply
-cost is proportional to the *active* tile columns only.
+plan-time column index (see
+:class:`~repro.tiles.tiled_matrix.EntryIndex`) whose per-multiply
+cost is proportional to the entries whose x slot is set.
 
 They remain in-tree for two jobs:
 
 * the kernel-equivalence tests assert the rewritten kernels return the
-  same ``y`` and byte-identical
+  same ``y`` (on finite data; see the developer guide on ``inf``
+  entries) and byte-identical
   :class:`~repro.gpusim.counters.KernelCounters` as these oracles;
 * the wall-clock benchmark (``benchmarks/bench_wallclock.py``) times
   the rewrite against them, recording the host-side speedup trajectory

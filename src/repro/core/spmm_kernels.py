@@ -21,14 +21,16 @@ Two kernels compute ``Y = A @ X`` for a tiled sparse ``A`` and a
 
 Both kernels fold products column by column in stored entry order
 through :meth:`~repro.semiring.Semiring.scatter_merge`, and for each
-column they fold exactly the entries of that column's *active* tiles
-— the same non-empty-tile test the tiled vector encodes in ``x_ptr``
-— so column ``j`` of the result is **bit-identical** to a
-single-vector :func:`~repro.core.spmspv_kernels.tiled_kernel`
-multiply against column ``j``, zero signs included.  (Folding the
-skipped identity products too would be value-identical but can flip
-the sign of zero: ``np.maximum(0.0, -0.0)`` is ``-0.0``.)  The
-column-slice verify check enforces the equivalence bit-exactly.
+column they fold exactly the *matched* entries — those of the
+column's active tiles (the non-empty-tile test the tiled vector
+encodes in ``x_ptr``) whose x slot is not the additive identity — so
+column ``j`` of the result is **bit-identical** to a single-vector
+:func:`~repro.core.spmspv_kernels.tiled_kernel` multiply against
+column ``j``, zero signs and non-finite values included.  (Folding
+the skipped identity products too would be value-identical on finite
+data but can flip the sign of zero — ``np.maximum(0.0, -0.0)`` is
+``-0.0`` — and turns ``inf * 0`` into ``nan``.)  The column-slice
+verify check enforces the equivalence bit-exactly.
 
 Shared A-side accounting (the SpMM amortisation): tile metadata and
 the tile payload stream from global memory **once per block**, not
@@ -72,9 +74,9 @@ def _check_block(A: TiledMatrix, X: DenseBlock) -> None:
 def _spmm_fold(A: TiledMatrix, X: DenseBlock, semiring: Semiring,
                Y: np.ndarray) -> None:
     """The shared numeric core: per column, fold the products of that
-    column's active-tile entries in stored order — exactly the entry
-    set and order the single-vector tiled kernel folds, which is what
-    makes the column slices bit-identical (module docstring)."""
+    column's matched entries in stored order — exactly the entry set
+    and per-row order the single-vector tiled kernel folds, which is
+    what makes the column slices bit-identical (module docstring)."""
     if A.nnz == 0:
         return
     grow = A.entry_rows()
@@ -95,8 +97,9 @@ def _spmm_fold(A: TiledMatrix, X: DenseBlock, semiring: Semiring,
         if not sel.any():
             continue
         xv = X.data[gcol[sel], j]
-        products = semiring.mul(vals[sel], xv)
-        semiring.scatter_merge(Y[:, j], grow[sel], products)
+        matched = ~semiring.is_identity(xv)
+        products = semiring.mul(vals[sel][matched], xv[matched])
+        semiring.scatter_merge(Y[:, j], grow[sel][matched], products)
 
 
 def _spmm_common_counters(A: TiledMatrix, B: int) -> KernelCounters:

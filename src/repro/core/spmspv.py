@@ -271,10 +271,14 @@ class TileSpMSpV(TiledOperator):
         cached on the plan — a second preprocessing pass, like the
         paper's A1/A2 pair for BFS — so every operator sharing the plan
         reuses it)."""
-        return self._plan.lazy_get(
-            "transposed",
-            lambda: _warm_active_set(TiledMatrix.from_coo(
-                self.hybrid.tiled.to_coo().transpose(), self.nt)))
+        def build() -> TiledMatrix:
+            At = TiledMatrix.from_coo(
+                self.hybrid.tiled.to_coo().transpose(), self.nt)
+            At.row_entries()
+            At.tile_nnz()
+            return At
+
+        return self._plan.lazy_get("transposed", build)
 
     @property
     def _transposed_tiled(self) -> Optional[TiledMatrix]:
@@ -472,18 +476,14 @@ def apply_output_mask(y_dense: np.ndarray, mask: VectorLike,
 
 
 def _warm_active_set(tiled: TiledMatrix) -> TiledMatrix:
-    """Build the active-set execution caches of a tiling eagerly.
+    """Build the matched-entry execution caches of a tiling eagerly.
 
     Everything here is cached on the matrix and only depends on its
     immutable structure; building it at plan time keeps the first
     multiply as cheap as the steady state (and, via the plan cache,
     amortises the cost across every operator sharing the plan).
     """
-    tiled.column_gather()
-    tiled.entry_rows()
-    tiled.entry_cols()
-    tiled.local_row64()
-    tiled.local_col64()
+    tiled.column_entries()
     tiled.tile_nnz()
     tiled.n_occupied_tile_rows()
     return tiled

@@ -18,22 +18,35 @@ Both kernels execute functionally in vectorized NumPy and return the
 :class:`~repro.gpusim.counters.KernelCounters` a CUDA realisation would
 incur (accounting rules in DESIGN.md §3).
 
-Active-set execution
---------------------
-The paper's claim is that tile skipping makes the work proportional to
-the active part of ``x`` — and the modeled counters always reflected
-that — but the original host execution still built boolean masks over
-all ``A.nnz`` entries per multiply.  These kernels instead walk the
-plan-time :class:`~repro.tiles.tiled_matrix.ColumnGather` index: the
-active tile columns name their stored tiles directly, the tiles name
-their entry ranges, and :func:`~repro._util.gather_ranges` pulls
-exactly that payload.  Host cost is thereby proportional to the active
-tiles, matching the model.  The gathered entries are visited in the
-same stored order as the old masks selected them and the merge
-(:meth:`~repro.semiring.Semiring.scatter_merge`) folds each output row
-in the same sequence, so results *and* counters are byte-identical to
-the reference kernels in :mod:`repro.core.reference_kernels` — the
-kernel-equivalence tests enforce this.
+Matched-entry execution
+-----------------------
+The modeled launch is tile-level: a stored tile is skipped when its x
+tile is empty, and an active tile stages its whole x tile while every
+lane multiplies.  The host execution does not copy that granularity —
+it is free to run whatever selects the same products in the same fold
+order, and the cheapest such shape is the *matched entries*: the
+support of ``x`` (its non-identity slots, ascending,
+:meth:`~repro.tiles.tiled_vector.TiledVector.support`) is looked up in
+a plan-time :class:`~repro.tiles.tiled_matrix.EntryIndex` that lists
+the stored entries by column, so only entries whose x slot is set are
+gathered, multiplied and merged.  Host cost is proportional to the
+matched entries; the counters are computed from tile-level quantities
+only (per tile column, :class:`~repro.tiles.tiled_matrix.ColumnGather`
+holds the stored tiles' count, nonzeros, busy lanes and row tiles), so
+the modeled timeline is unchanged.
+
+Results are byte-identical to the tile-level reference kernels in
+:mod:`repro.core.reference_kernels` on finite data: every output row
+receives its products in ascending column order in both (tile column
+by tile column, row-major inside a tile; the side stream by column),
+and a skipped entry would only have added ``mul(v, identity)``, which
+leaves a fold that started from the identity unchanged for finite
+``v``.  With ``±inf``/``nan`` in ``A`` the skipped products are not
+neutral (``inf * 0`` is ``nan``); the matched path then agrees with
+the side kernel and the dense oracle, which never multiplied them.
+(Under ``max_times`` a negative ``v`` gave ``-0.0``, and
+``np.maximum(0.0, -0.0)`` is ``-0.0``: there the matched path keeps
+the ``+0.0`` the dense oracle has.)
 """
 
 from __future__ import annotations
@@ -46,7 +59,8 @@ from .._util import gather_ranges
 from ..errors import ShapeError
 from ..gpusim import KernelCounters
 from ..semiring import PLUS_TIMES, Semiring
-from ..tiles.tiled_matrix import TiledMatrix
+from ..tiles.tiled_matrix import (WARP_LANES, ColumnGather, EntryIndex,
+                                  TiledMatrix)
 from ..tiles.tiled_vector import TiledVector
 
 __all__ = ["tiled_kernel", "csc_tiled_kernel", "batched_union_kernel",
@@ -63,6 +77,44 @@ def _lane_utilization(nnz_per_active_tile: np.ndarray, warp: int = 32) -> float:
         return 1.0
     util = np.minimum(1.0, nnz_per_active_tile / warp).mean()
     return float(max(util, 1.0 / warp))
+
+
+def _lane_fraction(busy_lanes: int, n_tiles: int,
+                   warp: int = WARP_LANES) -> float:
+    """:func:`_lane_utilization` from the summed busy lanes
+    (``min(nnz, warp)`` per tile) of ``n_tiles`` tiles.  Every per-tile
+    fraction is a multiple of ``1/warp``, so the sum is exact in any
+    order and both give the same float."""
+    if n_tiles == 0:
+        return 1.0
+    return max(busy_lanes / warp / n_tiles, 1.0 / warp)
+
+
+def _range_sum(ptr: np.ndarray, ids: np.ndarray) -> int:
+    """Total of the per-id quantities a prefix-sum array ``ptr`` holds."""
+    return int((ptr[ids + 1] - ptr[ids]).sum())
+
+
+def _matched_products(index: EntryIndex, x: TiledVector,
+                      semiring: Semiring) -> Tuple[np.ndarray, np.ndarray]:
+    """Output indices and products of the entries whose x slot is set,
+    in column order — the host work of one multiply."""
+    cols, xvals = x.support(semiring)
+    rows, vals, xv = index.match(cols, xvals)
+    if len(rows) == 0:
+        # nothing to multiply (nor to type-check against the semiring)
+        return rows, vals
+    return rows, semiring.mul(vals, xv)
+
+
+def _active_row_tiles(A: TiledMatrix, gather: ColumnGather,
+                      active_cols: np.ndarray) -> int:
+    """Number of distinct row tiles holding a stored tile in one of the
+    active tile columns — the row tiles that write a result."""
+    seen = np.zeros(A.n_tile_rows, dtype=bool)
+    seen[gather.coltile_rows[
+        gather_ranges(gather.coltile_tile_ptr, active_cols)]] = True
+    return int(np.count_nonzero(seen))
 
 
 def tiled_kernel(A: TiledMatrix, x: TiledVector,
@@ -117,57 +169,22 @@ def tiled_kernel(A: TiledMatrix, x: TiledVector,
         counters.coalesced_read_bytes += A.n_nonempty_tiles * 16.0
         counters.l2_read_bytes += A.n_nonempty_tiles * 8.0  # x_ptr
 
-    # --- tile activity, active-set style (Alg.4 l.2-5): the non-empty
-    # vector tiles name A's active tile columns; the plan-time column
-    # gather names their stored tiles.  Nothing O(nnz) here.
-    active_cols = np.flatnonzero(x.x_ptr >= 0)
-    gather = A.column_gather()
-    ptr = gather.coltile_tile_ptr
-    n_active = int((ptr[active_cols + 1] - ptr[active_cols]).sum())
-
-    if n_active == 0:
-        if counters is not None:
-            # warps still launch to discover there is nothing to do
-            counters.warps = max(1.0, A.n_tile_rows)
-        return y_dense, counters
-
-    # --- gather the entries of active tiles (stored order preserved).
-    # Three regimes, all selecting the same entries in the same order:
-    # every stored tile active (dense frontier) → the gather is the
-    # identity, use the full arrays; most tiles active → a boolean
-    # sweep of the stored-tile stream beats gathering and sorting
-    # nearly all of them; sparse frontier → the plan-time column
-    # gather touches only the active tiles (nothing O(nnz)).
-    if n_active == A.n_nonempty_tiles:
-        nnz_t = A.tile_nnz()
-        vals = A.values
-        lcol = A.local_col64()
-        grow = A.entry_rows()
-        x_off_tiles = x.x_ptr[A.tile_colidx]
-        rowidx_act = A.tile_rowidx()
-    else:
-        if 4 * n_active >= A.n_nonempty_tiles:
-            tile_mask = x.x_ptr[A.tile_colidx] >= 0
-            tiles = np.flatnonzero(tile_mask)
-            entry_sel = np.repeat(tile_mask, A.tile_nnz())
-        else:
-            tiles = gather.active_tiles(active_cols)
-            entry_sel = gather_ranges(A.tile_nnz_ptr, tiles)
-        nnz_t = A.tile_nnz()[tiles]
-        vals = A.values[entry_sel]
-        lcol = A.local_col64()[entry_sel]
-        grow = A.entry_rows()[entry_sel]
-        x_off_tiles = x.x_ptr[A.tile_colidx[tiles]]
-        rowidx_act = A.tile_rowidx()[tiles]
-
-    xv = x.x_tile[np.repeat(x_off_tiles, nnz_t) * nt + lcol]
-    products = semiring.mul(vals, xv)
-    semiring.scatter_merge(y_dense, grow, products)
+    rows, products = _matched_products(A.column_entries(), x, semiring)
+    semiring.scatter_merge(y_dense, rows, products)
     if counters is None:
         return y_dense, None
 
-    # --- accounting
-    nnz_active = len(vals)
+    # --- accounting, tile-level (Alg.4 l.2-5): the non-empty vector
+    # tiles name A's active tile columns, and every entry of their
+    # stored tiles is staged and multiplied.  Nothing O(nnz) here.
+    active_cols = np.flatnonzero(x.x_ptr >= 0)
+    gather = A.column_gather()
+    n_active = _range_sum(gather.coltile_tile_ptr, active_cols)
+    if n_active == 0:
+        # warps still launch to discover there is nothing to do
+        counters.warps = max(1.0, A.n_tile_rows)
+        return y_dense, counters
+    nnz_active = _range_sum(gather.coltile_nnz_ptr, active_cols)
     idx_bytes = A.index_bytes_per_entry()
     # tile payload streams in (values + packed indices), coalesced
     counters.coalesced_read_bytes += nnz_active * (8.0 + idx_bytes)
@@ -180,12 +197,13 @@ def tiled_kernel(A: TiledMatrix, x: TiledVector,
     # warp shuffle reduction: ~log2(32) word ops per lane pair
     counters.word_ops += n_active * 5.0
     # each row tile with work writes its nt-row result once, coalesced
-    row_tiles_active = np.unique(rowidx_act)
-    counters.coalesced_write_bytes += len(row_tiles_active) * nt * 8.0
+    counters.coalesced_write_bytes += \
+        _active_row_tiles(A, gather, active_cols) * nt * 8.0
     # one warp per row tile that has stored tiles — inactive ones still
     # launch and scan their metadata (Alg. 4 lines 2-5)
     counters.warps = float(max(1, A.n_occupied_tile_rows()))
-    counters.divergence = _lane_utilization(nnz_t)
+    counters.divergence = _lane_fraction(
+        _range_sum(gather.coltile_lanes_ptr, active_cols), n_active)
     counters.check()
     return y_dense, counters
 
@@ -195,20 +213,19 @@ def batched_union_kernel(A: TiledMatrix, xs, semiring: Semiring = PLUS_TIMES,
                          ) -> Tuple[np.ndarray, Optional[KernelCounters]]:
     """Coalesced batched Algorithm 4: one launch, one payload pass.
 
-    The tile-metadata scan is paid once for the batch, and so is the
-    *payload*: the union of the
-    batch's active tile columns is computed once, every stored tile in
-    that union streams its entries from global memory **once**, and the
-    staged tile is applied to each vector that activates it (the
-    multi-source trick of :func:`~repro.core.msbfs.msbfs_expand`,
-    generalised from the bitmask-AND semiring to arbitrary semirings).
+    The modeled launch pays the tile-metadata scan once for the batch,
+    and so is the *payload*: the union of the batch's active tile columns
+    is computed once, every stored tile in that union streams its
+    entries from global memory **once**, and the staged tile is applied
+    to each vector that activates it (the multi-source trick of
+    :func:`~repro.core.msbfs.msbfs_expand`, generalised from the
+    bitmask-AND semiring to arbitrary semirings).
 
-    Per vector, the computed result is **byte-identical** to
-    :func:`tiled_kernel` on the same input: the union gather preserves
-    ascending stored entry order, each vector's subset selection
-    preserves it again, and the merge folds through the same
-    :meth:`~repro.semiring.Semiring.scatter_merge` on a fresh
-    accumulator row.
+    The union is a counter model only.  On the host, each vector runs
+    the matched-entry path of :func:`tiled_kernel` — gathering a union
+    payload and selecting every vector's subset out of it cost more
+    than the singles it replaced — so per vector the result is
+    **byte-identical** to :func:`tiled_kernel` by construction.
 
     Counter contract — the *shared-load discount* (see the developer
     guide, "Batched execution & CI pipeline").  Relative to summing the
@@ -254,86 +271,42 @@ def batched_union_kernel(A: TiledMatrix, xs, semiring: Semiring = PLUS_TIMES,
         counters.coalesced_read_bytes += A.n_nonempty_tiles * 16.0
         counters.l2_read_bytes += A.n_nonempty_tiles * 8.0 * k
 
-    # --- the union of active tile columns, computed once per batch
+    for b, x in enumerate(xs):
+        rows, products = _matched_products(A.column_entries(), x, semiring)
+        semiring.scatter_merge(Y[b], rows, products)
+    if counters is None:
+        return Y, None
+
+    # --- accounting: the union of active tile columns, once per batch
     gather = A.column_gather()
     active_any = np.zeros(A.n_tile_cols, dtype=bool)
     for x in xs:
         active_any |= x.x_ptr >= 0
     union_cols = np.flatnonzero(active_any)
-    ptr = gather.coltile_tile_ptr
-    n_union = int((ptr[union_cols + 1] - ptr[union_cols]).sum())
+    n_union = _range_sum(gather.coltile_tile_ptr, union_cols)
     if n_union == 0:
-        if counters is not None:
-            counters.warps = max(1.0, A.n_tile_rows)
+        counters.warps = max(1.0, A.n_tile_rows)
         return Y, counters
-
-    # --- gather the union payload ONCE (same three regimes as the
-    # single-vector kernel, driven by the union activity; `tiles` is
-    # ascending in every regime, so entries keep stored order)
-    tile_nnz = A.tile_nnz()
-    if n_union == A.n_nonempty_tiles:
-        tiles = np.arange(A.n_nonempty_tiles, dtype=np.int64)
-        u_vals = A.values
-        u_lcol = A.local_col64()
-        u_grow = A.entry_rows()
-    else:
-        if 4 * n_union >= A.n_nonempty_tiles:
-            tile_mask = active_any[A.tile_colidx]
-            tiles = np.flatnonzero(tile_mask)
-            entry_sel = np.repeat(tile_mask, tile_nnz)
-        else:
-            tiles = gather.active_tiles(union_cols)
-            entry_sel = gather_ranges(A.tile_nnz_ptr, tiles)
-        u_vals = A.values[entry_sel]
-        u_lcol = A.local_col64()[entry_sel]
-        u_grow = A.entry_rows()[entry_sel]
-    u_nnz_t = tile_nnz[tiles]
-    u_colidx = A.tile_colidx[tiles]
-    u_rowidx = A.tile_rowidx()[tiles]
-    u_tile_of_entry = np.repeat(np.arange(len(tiles), dtype=np.int64),
-                                u_nnz_t)
-    if counters is not None:
-        # the shared-load discount: union payload streams in once
-        counters.coalesced_read_bytes += \
-            len(u_vals) * (8.0 + A.index_bytes_per_entry())
-
-    # --- apply the staged union to every vector that activates it
-    for b, x in enumerate(xs):
-        sub = x.x_ptr[u_colidx] >= 0
-        n_active = int(sub.sum())
+    # the shared-load discount: union payload streams in once
+    counters.coalesced_read_bytes += \
+        _range_sum(gather.coltile_nnz_ptr, union_cols) \
+        * (8.0 + A.index_bytes_per_entry())
+    for x in xs:
+        active_cols = np.flatnonzero(x.x_ptr >= 0)
+        n_active = _range_sum(gather.coltile_tile_ptr, active_cols)
         if n_active == 0:
             continue
-        if n_active == len(tiles):
-            vals, lcol, grow = u_vals, u_lcol, u_grow
-            nnz_t = u_nnz_t
-            x_off_tiles = x.x_ptr[u_colidx]
-            rowidx_act = u_rowidx
-        else:
-            entry_sub = sub[u_tile_of_entry]
-            vals = u_vals[entry_sub]
-            lcol = u_lcol[entry_sub]
-            grow = u_grow[entry_sub]
-            nnz_t = u_nnz_t[sub]
-            x_off_tiles = x.x_ptr[u_colidx[sub]]
-            rowidx_act = u_rowidx[sub]
-        xv = x.x_tile[np.repeat(x_off_tiles, nnz_t) * nt + lcol]
-        products = semiring.mul(vals, xv)
-        semiring.scatter_merge(Y[b], grow, products)
-        if counters is None:
-            continue
-
         # per-vector (non-shared) accounting
         counters.l2_read_bytes += n_active * nt * 8.0
         counters.shared_bytes += n_active * nt * 8.0
-        counters.flops += 2.0 * len(vals)
+        counters.flops += \
+            2.0 * _range_sum(gather.coltile_nnz_ptr, active_cols)
         counters.word_ops += n_active * 5.0
         counters.coalesced_write_bytes += \
-            len(np.unique(rowidx_act)) * nt * 8.0
-
-    if counters is None:
-        return Y, None
+            _active_row_tiles(A, gather, active_cols) * nt * 8.0
     counters.warps = float(max(1, A.n_occupied_tile_rows()))
-    counters.divergence = _lane_utilization(u_nnz_t)
+    counters.divergence = _lane_fraction(
+        _range_sum(gather.coltile_lanes_ptr, union_cols), n_union)
     counters.check()
     return Y, counters
 
@@ -358,6 +331,11 @@ def csc_tiled_kernel(At: TiledMatrix, x: TiledVector,
     very sparse ``x`` but pays per-entry atomics when ``x`` is dense
     (the trade-off the adaptive mode arbitrates; cf. Li et al. [31] in
     the paper's related work).
+
+    The host runs the matched entries through ``At``'s row index
+    (:meth:`~repro.tiles.tiled_matrix.TiledMatrix.row_entries`): each
+    output row folds its products in ascending A column, as the stored
+    tile-row stream does.
 
     Returns ``(y_dense, counters)`` like :func:`tiled_kernel`
     (``with_counters=False`` skips accounting and returns ``None``
@@ -388,61 +366,36 @@ def csc_tiled_kernel(At: TiledMatrix, x: TiledVector,
             counters.warps = 1.0
         return y_dense, counters
 
-    # At's tile rows are A's tile columns: the active tile list falls
-    # straight out of tile_ptr, already in ascending stored order.
-    n_active = int((At.tile_ptr[active_cols + 1]
-                    - At.tile_ptr[active_cols]).sum())
+    # At's tile rows are A's tile columns: the touched tiles fall
+    # straight out of tile_ptr
+    n_active = _range_sum(At.tile_ptr, active_cols)
     if n_active == 0:
         if counters is not None:
             counters.warps = max(1.0, len(active_cols) / 32.0)
             counters.l2_read_bytes += len(active_cols) * 16.0
         return y_dense, counters
 
-    # gather the entries of the touched tiles — same three regimes as
-    # the CSR form (identity / boolean sweep / plan-time gather), all
-    # yielding the ascending stored selection
-    if n_active == At.n_nonempty_tiles:
-        nnz_t = At.tile_nnz()
-        vals = At.values
-        x_local = At.local_row64()                       # A's local col
-        gcols = At.entry_cols()
-        x_off_tiles = x.x_ptr[At.tile_rowidx()]
-    else:
-        if 4 * n_active >= At.n_nonempty_tiles:          # near-dense
-            tile_mask = (x.x_ptr >= 0)[At.tile_rowidx()]
-            tiles = np.flatnonzero(tile_mask)
-            entry_sel = np.repeat(tile_mask, At.tile_nnz())
-        else:
-            tiles = gather_ranges(At.tile_ptr, active_cols)
-            entry_sel = gather_ranges(At.tile_nnz_ptr, tiles)
-        nnz_t = At.tile_nnz()[tiles]
-        vals = At.values[entry_sel]
-        x_local = At.local_row64()[entry_sel]            # A's local col
-        gcols = At.entry_cols()[entry_sel]
-        x_off_tiles = x.x_ptr[At.tile_rowidx()[tiles]]
-
-    xv = x.x_tile[np.repeat(x_off_tiles, nnz_t) * nt + x_local]
-    occupied = ~semiring.is_identity(xv)
-    products = semiring.mul(vals[occupied], xv[occupied])
-    grow = gcols[occupied]                               # A's global row
-    if len(grow):
-        semiring.scatter_merge(y_dense, grow, products)
+    grow, products = _matched_products(At.row_entries(), x, semiring)
+    semiring.scatter_merge(y_dense, grow, products)     # A's global rows
     if counters is None:
         return y_dense, None
 
     # accounting: only the touched tile columns are read; the merge
-    # into y is a global atomic scatter (the CSC form's cost).
+    # into y is a global atomic scatter (the CSC form's cost) of the
+    # entries whose x slot is set.
+    nnz_t = At.tile_nnz()[gather_ranges(At.tile_ptr, active_cols)]
     n_tiles = float(n_active)
-    nnz_touched = float(len(vals))
+    nnz_touched = float(nnz_t.sum())
+    merged = float(len(grow))
     idx_bytes = At.index_bytes_per_entry()
     counters.l2_read_bytes += len(active_cols) * 16.0    # tile_ptr probes
     counters.coalesced_read_bytes += n_tiles * 16.0      # tile metadata
     counters.coalesced_read_bytes += nnz_touched * (8.0 + idx_bytes)
     counters.l2_read_bytes += n_tiles * nt * 8.0         # x tiles (shared)
     counters.shared_bytes += n_tiles * nt * 8.0
-    counters.flops += 2.0 * float(occupied.sum())
-    counters.atomic_ops += float(occupied.sum())
-    counters.random_write_count += float(occupied.sum())
+    counters.flops += 2.0 * merged
+    counters.atomic_ops += merged
+    counters.random_write_count += merged
     counters.warps = max(1.0, n_tiles)
     counters.divergence = _lane_utilization(nnz_t)
     counters.check()
@@ -457,16 +410,17 @@ def coo_side_kernel(side, x: TiledVector,
     """Kernel for the extracted very-sparse COO side matrix.
 
     Accepts either an :class:`~repro.tiles.extraction.IndexedSideMatrix`
-    (preferred: the triplets are grouped by column tile, so only the
-    entries of *active* column tiles are touched — the same skipping
-    the tiled kernel gets from ``x_ptr``) or a plain
-    :class:`~repro.formats.coo.COOMatrix` (every entry is scanned; the
+    (preferred: the triplets are indexed by column at plan time, and
+    the counters charge only the entries of *active* column tiles — the
+    same skipping the tiled kernel gets from ``x_ptr``) or a plain
+    :class:`~repro.formats.coo.COOMatrix` (indexed per call; the
     counters charge the full stream).
 
     Each touched entry ``(i, j, v)`` reads ``x[j]`` via the O(1) tile
     formula and merges into ``y[i]`` with an atomic add — the side
     matrix has no row locality to exploit, which is exactly why these
-    entries were evicted from the tiled structure.
+    entries were evicted from the tiled structure.  Entries whose x
+    slot holds the identity merge nothing.
     """
     from ..tiles.extraction import IndexedSideMatrix
 
@@ -476,7 +430,8 @@ def coo_side_kernel(side, x: TiledVector,
             f"x has length {x.n}"
         )
     nt = x.nt
-    if isinstance(side, IndexedSideMatrix) and side.nt != nt:
+    indexed = isinstance(side, IndexedSideMatrix)
+    if indexed and side.nt != nt:
         raise ShapeError(
             f"side index tile size {side.nt} != vector tile size {nt}"
         )
@@ -486,39 +441,26 @@ def coo_side_kernel(side, x: TiledVector,
     counters = KernelCounters(launches=1) if with_counters else None
     if side.nnz == 0:
         return y_dense, counters
+    if not indexed:
+        side = IndexedSideMatrix.from_coo(side, nt)
 
-    if isinstance(side, IndexedSideMatrix):
-        active_tiles = np.flatnonzero(
-            (x.x_ptr >= 0) & side.nonempty_coltiles())
-        sel = gather_ranges(side.coltile_ptr, active_tiles)
-        rows_all, cols_all, vals_all = (side.row[sel], side.col[sel],
-                                        side.val[sel])
-        # index lookups are driven from the sparser operand: either the
-        # vector's non-empty tiles probe the side index, or the side's
-        # non-empty column tiles probe x_ptr — a kernel picks the
-        # cheaper direction.
-        if counters is not None:
-            counters.l2_read_bytes += min(
-                side.n_index_tiles(), x.n_nonempty_tiles) * 16.0
-        scanned = len(sel)
-    else:
-        rows_all, cols_all, vals_all = side.row, side.col, side.val
-        scanned = side.nnz
-
-    x_off = x.x_ptr[cols_all // nt]
-    hit = x_off >= 0
-    if int(hit.sum()):
-        xv = x.x_tile[x_off[hit] * nt + cols_all[hit] % nt]
-    else:
-        xv = np.zeros(0, dtype=semiring.dtype)
-    occupied = ~semiring.is_identity(xv)
-    rows = rows_all[hit][occupied]
-    products = semiring.mul(vals_all[hit][occupied], xv[occupied])
-    if len(rows):
-        semiring.scatter_merge(y_dense, rows, products)
+    rows, products = _matched_products(side.entries, x, semiring)
+    semiring.scatter_merge(y_dense, rows, products)
     if counters is None:
         return y_dense, None
 
+    if indexed:
+        # the entries of active column tiles are scanned; index lookups
+        # are driven from the sparser operand: either the vector's
+        # non-empty tiles probe the side index, or the side's non-empty
+        # column tiles probe x_ptr — a kernel picks the cheaper
+        # direction.
+        active = np.flatnonzero((x.x_ptr >= 0) & side.nonempty_coltiles())
+        scanned = _range_sum(side.coltile_ptr, active)
+        counters.l2_read_bytes += min(
+            side.n_index_tiles(), x.n_nonempty_tiles) * 16.0
+    else:
+        scanned = side.nnz
     # accounting: touched triplets stream in coalesced; x lookups and y
     # updates are data-dependent scatters.
     counters.coalesced_read_bytes += scanned * 24.0   # (row, col, val)

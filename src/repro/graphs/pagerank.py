@@ -14,9 +14,8 @@ import numpy as np
 
 from ..core.spmspv import TileSpMSpV
 from ..errors import ShapeError
-from ..formats.convert import to_coo
-from ..formats.coo import COOMatrix
 from ..gpusim import Device
+from .propagation import _normalized_transition
 
 __all__ = ["pagerank"]
 
@@ -43,23 +42,9 @@ def pagerank(matrix, damping: float = 0.85, tol: float = 1e-10,
     """
     if not (0.0 < damping < 1.0):
         raise ShapeError(f"damping must be in (0, 1), got {damping}")
-    coo = to_coo(matrix)
-    if coo.shape[0] != coo.shape[1]:
-        raise ShapeError(f"pagerank requires a square matrix, "
-                         f"got {coo.shape}")
-    n = coo.shape[0]
+    P, dangling, n = _normalized_transition(matrix, "pagerank")
     if n == 0:
         return np.zeros(0), 0
-
-    coo = coo.canonicalize().drop_zeros()
-    out_weight = np.zeros(n, dtype=np.float64)
-    np.add.at(out_weight, coo.col, coo.val.astype(np.float64))
-    dangling = out_weight == 0
-    inv_weight = np.where(dangling, 0.0,
-                          1.0 / np.where(dangling, 1.0, out_weight))
-    # column-normalised transition matrix P = A D^{-1}
-    P = COOMatrix(coo.shape, coo.row, coo.col,
-                  coo.val * inv_weight[coo.col])
     op = TileSpMSpV(P, nt=nt, device=device)
 
     r = np.full(n, 1.0 / n)

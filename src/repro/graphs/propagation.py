@@ -33,13 +33,14 @@ from ..gpusim import Device
 __all__ = ["multi_pagerank", "label_propagation"]
 
 
-def _normalized_transition(matrix):
+def _normalized_transition(matrix, algorithm: str = "propagation"):
     """``(P, dangling, n)``: the column-stochastic transition matrix,
-    the dangling-vertex mask, and the vertex count — the exact
-    preprocessing :func:`~repro.graphs.pagerank.pagerank` performs."""
+    the dangling-vertex mask, and the vertex count — the preprocessing
+    of :func:`~repro.graphs.pagerank.pagerank` and of both algorithms
+    here.  ``algorithm`` names the caller in the non-square error."""
     coo = to_coo(matrix)
     if coo.shape[0] != coo.shape[1]:
-        raise ShapeError(f"propagation requires a square matrix, "
+        raise ShapeError(f"{algorithm} requires a square matrix, "
                          f"got {coo.shape}")
     n = coo.shape[0]
     coo = coo.canonicalize().drop_zeros()

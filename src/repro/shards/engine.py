@@ -113,11 +113,12 @@ def _pattern_view(tiled: TiledMatrix) -> TiledMatrix:
     multiply under plus_times then counts matched edges per row, which
     is the exact reachability BFS needs regardless of the stored
     values.  ``validate=False`` — the index arrays are the already
-    validated ones of the source tiling."""
+    validated ones of the source tiling, whose column order it reuses."""
     return _warm_active_set(TiledMatrix(
         tiled.shape, tiled.nt, tiled.tile_ptr, tiled.tile_colidx,
         tiled.tile_nnz_ptr, tiled.local_row, tiled.local_col,
-        np.ones(tiled.nnz, dtype=np.float64), validate=False))
+        np.ones(tiled.nnz, dtype=np.float64), validate=False,
+        column_order=tiled.column_entries().order))
 
 
 def _shard_plan(key, tiled: TiledMatrix) -> OperatorPlan:
@@ -385,6 +386,11 @@ class ShardedSpMSpV(ScopedOperator):
             name, phase = "sharded_spmspv_batch", "batch"
         else:
             name, phase = "sharded_spmspv_shard", "multiply"
+        if spmm_selector is None:
+            # each vector's support is found once here and cached on
+            # it, not once per strip (pool workers receive it with x)
+            for xt in xts:
+                xt.support(self.semiring)
         workers = self.parallel
         if workers > 1 and executed.size:
             self._ensure_parallel(workers)

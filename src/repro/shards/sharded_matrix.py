@@ -121,6 +121,8 @@ class ShardedTiledMatrix:
         # Canonicalize once, before splitting: per-strip retiling then
         # sees already-summed entries, so every shard's value stream is
         # the canonical one regardless of how many strips there are.
+        # The canonical entries are row-major, so each strip is one
+        # contiguous run of them.
         coo = to_coo(matrix).sum_duplicates()
         m, n = coo.shape
         tile_rows = max(1, -(-m // nt))
@@ -153,10 +155,11 @@ class ShardedTiledMatrix:
         occupancy = np.zeros((len(strips), occ_words), dtype=np.uint64)
         shard_nnz = []
         dtype = None
+        bounds = np.searchsorted(coo.row, [lo for lo, _ in strips] + [m])
         for sid, (lo, hi) in enumerate(strips):
-            mask = (coo.row >= lo) & (coo.row < hi)
-            local = COOMatrix((hi - lo, n), coo.row[mask] - lo,
-                              coo.col[mask], coo.val[mask])
+            run = slice(bounds[sid], bounds[sid + 1])
+            local = COOMatrix((hi - lo, n), coo.row[run] - lo,
+                              coo.col[run], coo.val[run])
             tiled = TiledMatrix.from_coo(local, nt)
             dtype = tiled.values.dtype if dtype is None else dtype
             cols = np.unique(tiled.tile_colidx).astype(np.int64)

@@ -19,7 +19,7 @@ import numpy as np
 from .._util import ceil_div, group_starts
 from ..errors import TileError
 from ..formats.coo import COOMatrix
-from .tiled_matrix import TiledMatrix
+from .tiled_matrix import EntryIndex, TiledMatrix, tile_slot_base
 
 __all__ = ["HybridTiledMatrix", "IndexedSideMatrix",
            "split_very_sparse_tiles", "suggest_extract_threshold"]
@@ -27,13 +27,14 @@ __all__ = ["HybridTiledMatrix", "IndexedSideMatrix",
 
 @dataclass
 class IndexedSideMatrix:
-    """The extracted COO entries, sorted by column tile and indexed.
+    """The extracted COO entries, sorted by column and indexed.
 
     A raw COO kernel would have to scan *every* extracted entry per
-    multiply; sorting the triplets by column tile once and keeping a
-    per-column-tile pointer array makes the side kernel vector-driven —
-    only entries whose column tile carries input are touched, matching
-    the tiled kernel's skipping behaviour.
+    multiply; sorting the triplets by global column once (stable, so
+    each column keeps its row order) and indexing them makes the side
+    kernel vector-driven — only entries whose ``x`` slot is set are
+    touched, and the per-column-tile pointer keeps the tile-level
+    skipping the counters model.
 
     Attributes
     ----------
@@ -44,7 +45,10 @@ class IndexedSideMatrix:
     coltile_ptr:
         ``int64[n_tile_cols + 1]`` — entry ranges per column tile.
     row, col, val:
-        The triplets, grouped by column tile.
+        The triplets, sorted by column.
+    entries:
+        The column index over the triplets (its ``out`` and ``vals``
+        are :attr:`row` and :attr:`val`).
     """
 
     shape: tuple
@@ -53,18 +57,20 @@ class IndexedSideMatrix:
     row: np.ndarray
     col: np.ndarray
     val: np.ndarray
+    entries: EntryIndex
 
     @classmethod
     def from_coo(cls, side: COOMatrix, nt: int) -> "IndexedSideMatrix":
         tcol = side.col // nt
-        order = np.argsort(tcol, kind="stable")
-        n_tile_cols = ceil_div(side.shape[1], nt)
-        counts = np.bincount(tcol, minlength=n_tile_cols)
-        ptr = np.zeros(n_tile_cols + 1, dtype=np.int64)
+        counts = np.bincount(tcol, minlength=ceil_div(side.shape[1], nt))
+        ptr = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=ptr[1:])
+        base = tile_slot_base(counts > 0, nt)
+        entries = EntryIndex.build(base, base[tcol] + side.col % nt,
+                                   side.row, side.val, nt)
         return cls(shape=side.shape, nt=nt, coltile_ptr=ptr,
-                   row=side.row[order], col=side.col[order],
-                   val=side.val[order])
+                   row=entries.out, col=side.col[entries.order],
+                   val=entries.vals, entries=entries)
 
     @property
     def nnz(self) -> int:

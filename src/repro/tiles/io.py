@@ -15,7 +15,11 @@ change one fails loudly instead.
 variant the sharded execution engine streams from: a *directory* with
 one raw ``.npy`` per format array plus a JSON manifest, loaded with
 ``np.load(mmap_mode="r")`` so a shard's payload pages in lazily on
-first kernel touch instead of at load time.
+first kernel touch instead of at load time.  Beside the format arrays
+the directory holds the entries' column order (the sort behind
+:meth:`TiledMatrix.column_entries`), so a load — a shard fault — builds
+the kernels' entry index without sorting.  It is an execution index,
+not payload: the manifest's ``nbytes`` does not count it.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ _MMAP_VERSION = 1
 #: The format arrays of a TiledMatrix, in constructor order.
 _TILED_ARRAYS = ("tile_ptr", "tile_colidx", "tile_nnz_ptr",
                  "local_row", "local_col", "values")
+#: The stored column order of the entries (optional on load).
+_COLUMN_ORDER = "column_order"
 PathLike = Union[str, Path]
 
 
@@ -158,9 +164,10 @@ def load_tiled(path: PathLike):
 def save_tiled_mmap(obj: TiledMatrix, path: PathLike) -> Path:
     """Write a :class:`TiledMatrix` as an mmap-loadable directory.
 
-    Layout: one raw (uncompressed) ``.npy`` per format array plus a
-    ``manifest.json`` recording shape, tile size, per-array dtypes and
-    the total payload bytes.  Compression is deliberately absent —
+    Layout: one raw (uncompressed) ``.npy`` per format array, one for
+    the entries' column order, and a ``manifest.json`` recording shape,
+    tile size, per-array dtypes and the total payload bytes (the
+    format arrays only).  Compression is deliberately absent —
     ``np.load(mmap_mode="r")`` needs the on-disk bytes to *be* the
     array so the OS page cache, not a decompressor, is the read path.
     """
@@ -174,6 +181,7 @@ def save_tiled_mmap(obj: TiledMatrix, path: PathLike) -> Path:
     arrays = {name: getattr(obj, name) for name in _TILED_ARRAYS}
     for name, arr in arrays.items():
         np.save(path / f"{name}.npy", arr)
+    np.save(path / f"{_COLUMN_ORDER}.npy", obj.column_entries().order)
     manifest = {
         "kind": "tiled_matrix",
         "version": _MMAP_VERSION,
@@ -235,5 +243,15 @@ def load_tiled_mmap(path: PathLike, mmap: bool = True,
                 f"records {want}"
             )
         arrays[name] = arr
+    # a directory written without the order still loads; its index
+    # sorts on first use
+    order_path = path / f"{_COLUMN_ORDER}.npy"
+    order = (np.load(order_path, mmap_mode=mode, allow_pickle=False)
+             if order_path.exists() else None)
+    if order is not None and len(order) != len(arrays["values"]):
+        raise IOFormatError(
+            f"{path}: {_COLUMN_ORDER} has {len(order)} entries, the "
+            f"tiling {len(arrays['values'])}"
+        )
     return TiledMatrix(tuple(manifest["shape"]), int(manifest["nt"]),
-                       validate=validate, **arrays)
+                       validate=validate, column_order=order, **arrays)

@@ -12,77 +12,164 @@ trick of §3.2.1, exposed via :meth:`TiledMatrix.packed_index`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .._util import ceil_div, gather_ranges
+from .._util import ceil_div, concat_ranges, radix_argsort
 from ..errors import TileError
 from ..formats.coo import COOMatrix
 from ..formats.csr import compress_indptr, expand_indptr
 from .tiled_vector import SUPPORTED_TILE_SIZES
 
-__all__ = ["TiledMatrix", "ColumnGather"]
+__all__ = ["TiledMatrix", "ColumnGather", "EntryIndex"]
+
+
+#: Lanes of the warp that co-processes one stored tile.
+WARP_LANES = 32
+
+
+def tile_slot_base(occupied: np.ndarray, nt: int) -> np.ndarray:
+    """First slot of each x tile in an :class:`EntryIndex`: occupied
+    tiles get ``nt`` consecutive slots in ascending tile order, empty
+    ones ``-1``."""
+    return np.where(occupied, (np.cumsum(occupied) - 1) * nt, -1)
+
+
+@dataclass(frozen=True)
+class EntryIndex:
+    """Stored entries ordered by the ``x`` index they read.
+
+    The host side of every SpMSpV kernel runs on *matched entries*:
+    only the entries whose ``x`` slot is set are gathered, multiplied
+    and merged.  This index lists the entries by ascending ``x`` index
+    and, within one index, in stored order, so gathering the support of
+    ``x`` in ascending order hands every output row its products in
+    ascending ``x``-index order — the order the tiled stream (tile
+    column by tile column, row-major inside a tile) and the COO side
+    stream fold them in.
+
+    Lookups go through *slots*: every occupied ``x`` tile owns ``nt``
+    consecutive slots, one per local index, so the pointer array grows
+    with the occupied tiles, not with the matrix width (a row-strip
+    shard of a wide matrix touches few of its tile columns).
+
+    Output indices and values are copied into index order, so a match
+    gathers contiguous ranges.
+
+    Attributes
+    ----------
+    nt:
+        Tile size of the ``x`` tiling.
+    slot_base:
+        ``int64[n_x_tiles]`` — first slot of each ``x`` tile, ``-1``
+        when no entry reads that tile.
+    slot_ptr:
+        ``int64[n_slots + 1]`` — entry range of each slot.
+    out:
+        ``int64[nnz]`` — output index (global row) of each entry.
+    vals:
+        The entry values in index order.
+    order:
+        ``int64[nnz]`` — stored position of each entry: the stable sort
+        by slot that the index applied.
+    """
+
+    nt: int
+    slot_base: np.ndarray
+    slot_ptr: np.ndarray
+    out: np.ndarray
+    vals: np.ndarray
+    order: np.ndarray
+
+    @classmethod
+    def build(cls, base: np.ndarray, slot: np.ndarray, out: np.ndarray,
+              values: np.ndarray, nt: int,
+              order: Optional[np.ndarray] = None) -> "EntryIndex":
+        """Index entries given each one's slot (``base`` from
+        :func:`tile_slot_base`), output index and value.  ``order`` is
+        the stable sort of ``slot`` when the caller already has it
+        (written with an mmap tiling); otherwise it is computed."""
+        n_slots = int((base >= 0).sum()) * nt
+        if order is None:
+            order = radix_argsort(slot)
+        ptr = np.zeros(n_slots + 1, dtype=np.int64)
+        np.cumsum(np.bincount(slot, minlength=n_slots), out=ptr[1:])
+        return cls(nt, base, ptr, out[order], values[order], order)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.out)
+
+    def match(self, cols: np.ndarray, xvals: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(out, vals, x)`` of every entry reading one of ``cols``
+        (strictly ascending ``x`` indices with values ``xvals``), in
+        index order.  Cost is proportional to the matched entries."""
+        nt = self.nt
+        base = self.slot_base[cols // nt]
+        hit = base >= 0
+        if not hit.all():
+            cols, xvals, base = cols[hit], xvals[hit], base[hit]
+        slot = base + cols % nt
+        lo = self.slot_ptr[slot]
+        counts = self.slot_ptr[slot + 1] - lo
+        xv = np.repeat(xvals, counts)
+        # every entry matched: the ranges tile the whole index
+        sel = (slice(None) if len(xv) == self.nnz
+               else concat_ranges(lo, counts))
+        return self.out[sel], self.vals[sel], xv
 
 
 @dataclass(frozen=True)
 class ColumnGather:
-    """The tiled structure regrouped by *tile column* — the plan-time
-    index behind the active-set execution engine.
+    """The stored tiles regrouped by tile column — the tile-level model
+    of a multiply.
 
-    The row-tile kernel's input activity is per tile column (a vector
-    tile is a tile column of ``x``), but the CSR-of-tiles layout groups
-    storage by tile *row*; without a column index every multiply has to
-    mask all ``nnz`` entries to find the active ones.  Grouping the
-    stored tiles (and, transitively, their entries) by tile column once
-    at plan time turns that O(nnz) mask into an O(active) gather — the
-    same trick :class:`~repro.tiles.extraction.IndexedSideMatrix` plays
-    for the extracted COO side.
+    The modeled launch stays tile-level (an active tile stages its
+    whole ``x`` tile and every lane multiplies), so the counters read
+    the stored tiles of the active tile columns.  Per-column prefix
+    sums make them cost O(active tile columns), except the distinct
+    row tiles, which need the active tiles' rows.  The host execution
+    reads :meth:`TiledMatrix.column_entries` instead.
 
     Attributes
     ----------
     coltile_tile_ptr:
-        ``int64[n_tile_cols + 1]`` — ranges into :attr:`coltile_tiles`
-        per tile column.
-    coltile_tiles:
-        ``int64[n_nonempty_tiles]`` — stored-tile indices grouped by
-        tile column, ascending within each column.
-    coltile_entry_ptr:
-        ``int64[n_tile_cols + 1]`` — entry ranges per tile column (into
-        :attr:`coltile_entry_perm`).
-    coltile_entry_perm:
-        ``int64[nnz]`` — entry indices grouped by tile column,
-        preserving the stored (row-major per tile) order inside each
-        column.
+        ``int64[n_tile_cols + 1]`` — stored-tile ranges per tile column
+        (into :attr:`coltile_rows`).
+    coltile_rows:
+        ``int64[n_nonempty_tiles]`` — tile-row index of each stored
+        tile, grouped by tile column.
+    coltile_nnz_ptr:
+        ``int64[n_tile_cols + 1]`` — prefix sums of the tiles' nonzero
+        counts per tile column.
+    coltile_lanes_ptr:
+        ``int64[n_tile_cols + 1]`` — prefix sums of the tiles' busy
+        warp lanes, ``min(nnz, 32)``, per tile column.
     """
 
     coltile_tile_ptr: np.ndarray
-    coltile_tiles: np.ndarray
-    coltile_entry_ptr: np.ndarray
-    coltile_entry_perm: np.ndarray
+    coltile_rows: np.ndarray
+    coltile_nnz_ptr: np.ndarray
+    coltile_lanes_ptr: np.ndarray
 
     @classmethod
     def build(cls, A: "TiledMatrix") -> "ColumnGather":
-        nc = A.n_tile_cols
-        order = np.argsort(A.tile_colidx, kind="stable").astype(np.int64)
-        tile_counts = np.bincount(A.tile_colidx, minlength=nc)
-        tile_ptr = np.zeros(nc + 1, dtype=np.int64)
+        tile_counts = np.bincount(A.tile_colidx, minlength=A.n_tile_cols)
+        tile_ptr = np.zeros(len(tile_counts) + 1, dtype=np.int64)
         np.cumsum(tile_counts, out=tile_ptr[1:])
-        tile_nnz = np.diff(A.tile_nnz_ptr)
-        entry_counts = np.zeros(nc, dtype=np.int64)
-        np.add.at(entry_counts, A.tile_colidx, tile_nnz)
-        entry_ptr = np.zeros(nc + 1, dtype=np.int64)
-        np.cumsum(entry_counts, out=entry_ptr[1:])
-        entry_perm = gather_ranges(A.tile_nnz_ptr, order)
-        return cls(tile_ptr, order, entry_ptr, entry_perm)
+        order = radix_argsort(A.tile_colidx)
+        tile_nnz = A.tile_nnz()[order]
 
-    def active_tiles(self, active_cols: np.ndarray) -> np.ndarray:
-        """Stored-tile indices living in the given tile columns, sorted
-        ascending (the order the CSR-of-tiles stream visits them)."""
-        tiles = self.coltile_tiles[
-            gather_ranges(self.coltile_tile_ptr, active_cols)]
-        tiles.sort()
-        return tiles
+        def column_prefix(per_tile: np.ndarray) -> np.ndarray:
+            prefix = np.zeros(len(per_tile) + 1, dtype=np.int64)
+            np.cumsum(per_tile, out=prefix[1:])
+            return prefix[tile_ptr]
+
+        return cls(tile_ptr, A.tile_rowidx()[order],
+                   column_prefix(tile_nnz),
+                   column_prefix(np.minimum(tile_nnz, WARP_LANES)))
 
 
 class TiledMatrix:
@@ -107,13 +194,19 @@ class TiledMatrix:
         tile.
     values:
         ``float64[nnz]`` — the nonzero values.
+
+    ``column_order`` optionally hands in the stable order of the
+    entries by global column (:attr:`EntryIndex.order` of
+    :meth:`column_entries`) from a producer that has it, so building
+    the index does not sort again.
     """
 
     def __init__(self, shape: Tuple[int, int], nt: int,
                  tile_ptr: np.ndarray, tile_colidx: np.ndarray,
                  tile_nnz_ptr: np.ndarray, local_row: np.ndarray,
                  local_col: np.ndarray, values: np.ndarray,
-                 validate: bool = True):
+                 validate: bool = True,
+                 column_order: Optional[np.ndarray] = None):
         if nt not in SUPPORTED_TILE_SIZES:
             raise TileError(
                 f"unsupported tile size {nt}; allowed: {SUPPORTED_TILE_SIZES}"
@@ -126,6 +219,7 @@ class TiledMatrix:
         self.local_row = np.ascontiguousarray(local_row, dtype=np.uint8)
         self.local_col = np.ascontiguousarray(local_col, dtype=np.uint8)
         self.values = np.ascontiguousarray(values)
+        self._column_order = column_order
         # ``validate=False`` is for trusted producers over lazy storage
         # (the mmap loader in ``tiles.io``): a full validate pages every
         # array in, defeating the point of memory-mapping the payload.
@@ -317,18 +411,57 @@ class TiledMatrix:
         return cached
 
     def column_gather(self) -> ColumnGather:
-        """The tile-column grouping of the stored structure (cached).
-
-        Built once per matrix (plan time for operators sharing an
-        :class:`~repro.runtime.OperatorPlan`); every multiply then
-        gathers only the entries of active tile columns instead of
-        masking all ``nnz``.
-        """
+        """The stored tiles grouped by tile column (cached) — what the
+        kernels' counters read."""
         cached = getattr(self, "_column_gather", None)
         if cached is None:
             cached = ColumnGather.build(self)
             self._column_gather = cached
         return cached
+
+    def column_entries(self) -> EntryIndex:
+        """The stored entries by global column, output index the global
+        row (cached) — what the row-tile kernel's host side reads.
+
+        Built once per matrix (plan time for operators sharing an
+        :class:`~repro.runtime.OperatorPlan`); every multiply then
+        gathers only the entries whose ``x`` slot is set.
+        """
+        cached = getattr(self, "_column_entries", None)
+        if cached is None:
+            cached = self._entry_index(
+                self.n_tile_cols, self.tile_colidx, self.local_col,
+                self.tile_rowidx(), self.local_row, self._column_order)
+            self._column_entries = cached
+        return cached
+
+    def row_entries(self) -> EntryIndex:
+        """The stored entries by global row, output index the global
+        column (cached) — what the CSC-form kernel reads on a
+        transposed tiling, whose rows are the ``x`` index."""
+        cached = getattr(self, "_row_entries", None)
+        if cached is None:
+            cached = self._entry_index(
+                self.n_tile_rows, self.tile_rowidx(), self.local_row,
+                self.tile_colidx, self.local_col)
+            self._row_entries = cached
+        return cached
+
+    def _entry_index(self, n_key_tiles: int, key_tile: np.ndarray,
+                     key_local: np.ndarray, out_tile: np.ndarray,
+                     out_local: np.ndarray,
+                     order: Optional[np.ndarray] = None) -> EntryIndex:
+        """An :class:`EntryIndex` keyed by one axis (the stored tiles'
+        tile index and the entries' local index on it), output index
+        the other axis."""
+        nt = self.nt
+        occupied = np.zeros(n_key_tiles, dtype=bool)
+        occupied[key_tile] = True
+        base = tile_slot_base(occupied, nt)
+        tile_of_entry = expand_indptr(self.tile_nnz_ptr)
+        slot = base[key_tile][tile_of_entry] + key_local
+        out = (out_tile * nt)[tile_of_entry] + out_local
+        return EntryIndex.build(base, slot, out, self.values, nt, order)
 
     def tile_slice(self, t: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(local_row, local_col, values)`` views of stored tile ``t``."""

@@ -201,6 +201,28 @@ class TiledVector:
         """Original tile positions that are stored (sorted)."""
         return np.flatnonzero(self.x_ptr >= 0)
 
+    def support(self, semiring) -> Tuple[np.ndarray, np.ndarray]:
+        """``(indices, values)`` of the slots holding a value other than
+        ``semiring``'s additive identity, in ascending index order — the
+        ``x`` entries a multiply matches against (cached per semiring,
+        so every kernel and shard of one multiply finds it once).
+
+        Slots of stored tiles only: an empty tile has no support.  An
+        explicit identity value is not support either — a sparse slot
+        holding the identity means "no entry".
+        """
+        cached = getattr(self, "_support", None)
+        # equality, not identity: a vector pickled to a pool worker
+        # arrives with its cache and an equal copy of the semiring
+        if cached is not None and cached[0] == semiring:
+            return cached[1]
+        tiles = self.nonzero_tile_ids()
+        block = self.x_tile.reshape(-1, self.nt)[self.x_ptr[tiles]]
+        t, local = np.nonzero(~semiring.is_identity(block))
+        found = (tiles[t] * self.nt + local, block[t, local])
+        self._support = (semiring, found)
+        return found
+
     def to_dense(self) -> np.ndarray:
         """Materialise the dense vector (empty slots hold :attr:`fill`)."""
         out = np.full(self.n_tiles * self.nt, self.fill,

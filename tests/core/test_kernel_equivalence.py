@@ -155,22 +155,35 @@ def test_column_gather_structure():
     A = TiledMatrix.from_dense(random_dense(100, 90, 0.1, seed=41), 8)
     g = A.column_gather()
     assert g is A.column_gather()          # cached
-    # every stored tile appears exactly once, under its own column
-    assert np.array_equal(np.sort(g.coltile_tiles),
-                          np.arange(A.n_nonempty_tiles))
-    for c in range(A.n_tile_cols):
-        tiles = g.coltile_tiles[
-            g.coltile_tile_ptr[c]:g.coltile_tile_ptr[c + 1]]
-        assert np.all(A.tile_colidx[tiles] == c)
-    # the entry permutation covers all entries, grouped consistently
-    assert np.array_equal(np.sort(g.coltile_entry_perm),
-                          np.arange(A.nnz))
+    # per tile column: its stored tiles' rows, nonzeros and busy lanes
     tile_nnz = A.tile_nnz()
     for c in range(A.n_tile_cols):
-        n_entries = g.coltile_entry_ptr[c + 1] - g.coltile_entry_ptr[c]
-        tiles = g.coltile_tiles[
-            g.coltile_tile_ptr[c]:g.coltile_tile_ptr[c + 1]]
-        assert n_entries == tile_nnz[tiles].sum()
+        tiles = np.flatnonzero(A.tile_colidx == c)
+        lo, hi = g.coltile_tile_ptr[c], g.coltile_tile_ptr[c + 1]
+        assert np.array_equal(g.coltile_rows[lo:hi],
+                              A.tile_rowidx()[tiles])
+        assert (g.coltile_nnz_ptr[c + 1] - g.coltile_nnz_ptr[c]
+                == tile_nnz[tiles].sum())
+        assert (g.coltile_lanes_ptr[c + 1] - g.coltile_lanes_ptr[c]
+                == np.minimum(tile_nnz[tiles], 32).sum())
+    # the entry index lists every entry once, by column and, within a
+    # column, by row (the stored order of one column)
+    e = A.column_entries()
+    assert e is A.column_entries()         # cached
+    coo = A.to_coo()
+    order = np.lexsort((coo.row, coo.col))
+    assert np.array_equal(e.out, coo.row[order])
+    assert np.array_equal(e.vals, coo.val[order])
+    assert np.array_equal(A.values[e.order], e.vals)
+    # each column's slot names exactly that column's entry range
+    cols = coo.col[order]
+    for j in range(A.shape[1]):
+        base = e.slot_base[j // A.nt]
+        if base < 0:
+            assert not np.any(cols == j)
+            continue
+        lo, hi = e.slot_ptr[base + j % A.nt], e.slot_ptr[base + j % A.nt + 1]
+        assert np.all(cols[lo:hi] == j) and hi - lo == np.sum(cols == j)
 
 
 def test_scatter_merge_matches_add_at():

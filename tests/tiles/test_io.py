@@ -167,6 +167,33 @@ class TestMmapRoundTrip:
         y_ref, _ = tiled_kernel(tm, xt)
         assert np.array_equal(y_mmap, y_ref)
 
+    def test_column_order_stored_with_the_tiling(self, coo, tmp_path,
+                                                 monkeypatch):
+        """A load builds the entry index from the stored column order:
+        a shard fault does not sort.  A directory without the order
+        still loads and sorts."""
+        import repro.tiles.tiled_matrix as tiled_matrix
+
+        tm = TiledMatrix.from_coo(coo, 16)
+        d = save_tiled_mmap(tm, tmp_path / "s")
+        want = tm.column_entries()
+
+        def no_sort(keys):
+            raise AssertionError("sorted on load")
+
+        monkeypatch.setattr(tiled_matrix, "radix_argsort", no_sort)
+        got = load_tiled_mmap(d).column_entries()
+        for name in ("slot_base", "slot_ptr", "out", "vals", "order"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert read_mmap_manifest(d)["nbytes"] == tm.nbytes()
+        monkeypatch.undo()
+        (d / "column_order.npy").unlink()
+        legacy = load_tiled_mmap(d).column_entries()
+        assert np.array_equal(legacy.order, want.order)
+        np.save(d / "column_order.npy", want.order[:-1])
+        with pytest.raises(IOFormatError):
+            load_tiled_mmap(d)
+
     def test_manifest_dtype_mismatch_rejected(self, coo, tmp_path):
         tm = TiledMatrix.from_coo(coo, 16)
         d = save_tiled_mmap(tm, tmp_path / "shard")
