@@ -77,7 +77,11 @@ _U64 = np.uint64
 #: per (frontier bit, column tile) pair while the sweep ANDs all
 #: ``n_tiles * nt`` stored words; gathered elements cost about this
 #: factor more each (fancy indexing vs streaming), so gather wins while
-#: ``BIT_GATHER_FACTOR * n_bits <= n_tiles * nt``.
+#: ``BIT_GATHER_FACTOR * n_bits <= n_tiles * nt``.  The rule prices the
+#: *uncompressed* sweep this kernel (and the numba tier's
+#: ``push_sweep``) streams; the fused NumPy tier streams a compressed
+#: sweep of the non-zero words only and always sweeps
+#: (:func:`repro.fastpath.fused_layers.fused_push_csr`).
 BIT_GATHER_FACTOR = 3
 
 #: Stored tiles per chunk of the Push-CSR streaming sweep — bounds the

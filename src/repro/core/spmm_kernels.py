@@ -44,6 +44,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .._util import sorted_distinct
 from ..errors import ShapeError
 from ..gpusim import KernelCounters
 from ..semiring import PLUS_TIMES, Semiring
@@ -209,7 +210,7 @@ def spmm_merge_path_kernel(A: TiledMatrix, X: DenseBlock,
         # distinct (tile, local column) pairs = the row segments of the
         # dense block the staged chunks actually load; each nonzero
         # belongs to exactly one, so segments <= nnz always
-        segments = int(np.unique(
+        segments = int(sorted_distinct(
             A.tile_of_entry() * np.int64(A.nt) + A.local_col64()).size)
     else:
         segments = 0

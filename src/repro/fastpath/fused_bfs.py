@@ -4,7 +4,7 @@
 :meth:`repro.core.tilebfs.TileBFS.run_multi`.  It keeps the reference
 loop's structure bit for bit — same scratch ping-pong, same §3.4
 kernel selection (including the Pull-CSC symmetry fallback), same
-regime switches inside each kernel — but every layer runs the
+results from each kernel — but every layer runs the
 result-only fused kernels from :mod:`repro.fastpath.fused_layers` /
 :mod:`repro.fastpath.numba_kernels`: no counter construction, no
 launch-name formatting, no tracer plumbing in the loop.

@@ -4,8 +4,8 @@
 and holds everything the fused per-layer dispatch needs beyond the
 A1/A2 tilings themselves:
 
-* a *compressed word-level sweep* of the row tiles for the dense-
-  frontier Push-CSR regime — the reference sweep ANDs all
+* a *compressed word-level sweep* of the row tiles, which runs every
+  NumPy-tier Push-CSR layer — the reference sweep ANDs all
   ``n_tiles * nt`` stored words per layer even though only ~10-15% are
   non-zero on power-law graphs; flattening the non-zero (tile, local
   row) words once at plan time turns each layer into a handful of
@@ -32,9 +32,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .._util import concat_ranges, gather_ranges, group_starts
+from .._util import (concat_ranges, gather_ranges, group_starts,
+                     sorted_distinct)
 from ..core.bfs_kernels import (BIT_GATHER_FACTOR, PULL_WORD_COST_FACTOR,
-                                _push_csr_bit_gather, expand_vertex_tiles)
+                                expand_vertex_tiles)
 from ..formats.csr import compress_indptr
 from ..tiles.bitmask import (BitTiledMatrix, BitVector, bit_positions,
                              bit_weight_vector, pack_hit_words,
@@ -53,7 +54,13 @@ _SWEEP_CHUNK = 1 << 16
 
 
 class FusedBFSLayout:
-    """Per-plan gather structures and buffers of the fused BFS tier."""
+    """Per-plan gather structures and buffers of the fused BFS tier.
+
+    ``sweep_words`` holds the non-zero A2 words plus one single-bit word
+    per extracted side edge — exactly the words :meth:`sweep` streams
+    (1.08 M on rmat(16) at ``nt=64``, against the 6.78 M stored words
+    the uncompressed sweep reads).
+    """
 
     def __init__(self, A1: BitTiledMatrix, A2: BitTiledMatrix, side,
                  n: int, nt: int):
@@ -98,7 +105,7 @@ class FusedBFSLayout:
         k = len(self.sweep_words)
         cut = np.searchsorted(starts, np.arange(_SWEEP_CHUNK, k,
                                                 _SWEEP_CHUNK))
-        bnds = np.unique(np.concatenate(
+        bnds = sorted_distinct(np.concatenate(
             ([0], cut, [len(starts)]))).astype(np.int64)
         self.sweep_chunks = []
         max_len = 0
@@ -160,14 +167,22 @@ def fused_push_csc(layout: FusedBFSLayout, frontier: np.ndarray,
 def fused_push_csr(layout: FusedBFSLayout, frontier: np.ndarray,
                    x: BitVector, m: BitVector, y: BitVector,
                    use_numba: bool) -> bool:
-    """Result-only K2 with the reference regime switch: frontier-
-    proportional bit gather over the column view while the frontier is
-    sparse, the compressed streaming sweep near density.
+    """Result-only K2.  The NumPy tier always runs the compressed
+    sweep: Push-CSR is only selected for dense frontiers, and there
+    streaming the non-zero words is as fast end to end as switching to
+    the bit gather on the sparser layers (EXPERIMENTS.md).  The
+    compiled tier keeps the reference regime switch
+    (``BIT_GATHER_FACTOR``), since its sweep streams all
+    ``n_tiles * nt`` stored words.
 
     Returns True when the layer's side edges were already applied — the
     NumPy sweep streams them as folded single-bit words, so the caller
     must skip the separate side pass.
     """
+    if not use_numba:
+        layout.sweep(x.words, y)
+        y.words &= ~m.words
+        return True
     A2 = layout.A2
     nt = layout.nt
     n_tiles = A2.n_nonempty_tiles
@@ -178,27 +193,18 @@ def fused_push_csr(layout: FusedBFSLayout, frontier: np.ndarray,
     counts = A1v.tile_ptr[cols + 1] - A1v.tile_ptr[cols]
     if not int(counts.sum()):
         return False
-    xw_cols = x.words[cols]
-    bits_per_col = np.bitwise_count(xw_cols).astype(np.int64)
+    bits_per_col = np.bitwise_count(x.words[cols]).astype(np.int64)
     n_bits = int((counts * bits_per_col).sum())
     if BIT_GATHER_FACTOR * n_bits <= n_tiles * nt:
-        if use_numba:
-            # masked gather over the column view == bit-gather regime
-            nb.push_gather_masked(A1v.tile_ptr, A1v.tile_otheridx,
-                                  A1v.words, nt, frontier, m.words,
-                                  y.words)
-            return False
-        _push_csr_bit_gather(A1v, xw_cols, cols, counts, bits_per_col, y)
-        y.words &= ~m.words
+        # masked gather over the column view == bit-gather regime
+        nb.push_gather_masked(A1v.tile_ptr, A1v.tile_otheridx,
+                              A1v.words, nt, frontier, m.words,
+                              y.words)
         return False
-    if use_numba:
-        nb.push_sweep(A2.words, A2.tile_otheridx, A2.tile_majoridx(),
-                      nt, x.words, y.words)
-        y.words &= ~m.words
-        return False
-    layout.sweep(x.words, y)
+    nb.push_sweep(A2.words, A2.tile_otheridx, A2.tile_majoridx(),
+                  nt, x.words, y.words)
     y.words &= ~m.words
-    return True
+    return False
 
 
 def fused_pull_csc(layout: FusedBFSLayout, m: BitVector, y: BitVector,

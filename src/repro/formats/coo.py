@@ -100,10 +100,17 @@ class COOMatrix(SparseMatrix):
                          self.val[order])
 
     def sum_duplicates(self) -> "COOMatrix":
-        """Return a copy in which duplicate coordinates are summed."""
+        """Return a copy in which duplicate coordinates are summed.
+
+        Canonical input (row-major, no duplicates: strictly ascending
+        keys) is recognised in O(nnz) and copied without a sort.
+        """
         if self.nnz == 0:
             return COOMatrix(self.shape, self.row, self.col, self.val)
         key = self.row * self.shape[1] + self.col
+        if bool(np.all(key[1:] > key[:-1])):
+            return COOMatrix(self.shape, self.row.copy(), self.col.copy(),
+                             self.val.copy())
         order = np.argsort(key, kind="stable")
         key_s = key[order]
         val_s = self.val[order]

@@ -118,7 +118,7 @@ def _pattern_view(tiled: TiledMatrix) -> TiledMatrix:
         tiled.shape, tiled.nt, tiled.tile_ptr, tiled.tile_colidx,
         tiled.tile_nnz_ptr, tiled.local_row, tiled.local_col,
         np.ones(tiled.nnz, dtype=np.float64), validate=False,
-        column_order=tiled.column_entries().order))
+        column_order=tiled.column_order()))
 
 
 def _shard_plan(key, tiled: TiledMatrix) -> OperatorPlan:

@@ -28,6 +28,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
+from .._util import sorted_distinct
 from ..errors import IOFormatError, ShapeError, TileError
 from ..formats.convert import to_coo
 from ..formats.coo import COOMatrix
@@ -162,7 +163,7 @@ class ShardedTiledMatrix:
                               coo.col[run], coo.val[run])
             tiled = TiledMatrix.from_coo(local, nt)
             dtype = tiled.values.dtype if dtype is None else dtype
-            cols = np.unique(tiled.tile_colidx).astype(np.int64)
+            cols = sorted_distinct(tiled.tile_colidx).astype(np.int64)
             np.bitwise_or.at(occupancy[sid], cols // 64,
                              np.uint64(1) << (cols % 64).astype(np.uint64))
             shard_nnz.append(tiled.nnz)

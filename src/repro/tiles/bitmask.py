@@ -25,7 +25,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .._util import ceil_div, group_starts
+from .._util import ceil_div, group_starts, sorted_distinct
 from ..errors import ShapeError, TileError
 from ..formats.coo import COOMatrix
 from ..formats.csr import compress_indptr, expand_indptr
@@ -550,11 +550,11 @@ def pattern_is_symmetric(coo: COOMatrix) -> bool:
     """True when the nonzero *pattern* of a square matrix is symmetric.
 
     The check TileBFS uses to decide whether the A1/A2 bitmask pair can
-    share storage (§3.2.3).  O(nnz log nnz), values ignored.
+    share storage (§3.2.3).  O(nnz log nnz) (two sorts), values ignored.
     """
     if coo.shape[0] != coo.shape[1]:
         return False
     n = coo.shape[1]
-    fwd = np.unique(coo.row * n + coo.col)
-    bwd = np.unique(coo.col * n + coo.row)
+    fwd = sorted_distinct(coo.row * n + coo.col)
+    bwd = sorted_distinct(coo.col * n + coo.row)
     return len(fwd) == len(bwd) and bool(np.array_equal(fwd, bwd))

@@ -181,7 +181,7 @@ def save_tiled_mmap(obj: TiledMatrix, path: PathLike) -> Path:
     arrays = {name: getattr(obj, name) for name in _TILED_ARRAYS}
     for name, arr in arrays.items():
         np.save(path / f"{name}.npy", arr)
-    np.save(path / f"{_COLUMN_ORDER}.npy", obj.column_entries().order)
+    np.save(path / f"{_COLUMN_ORDER}.npy", obj.column_order())
     manifest = {
         "kind": "tiled_matrix",
         "version": _MMAP_VERSION,

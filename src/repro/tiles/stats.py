@@ -14,7 +14,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .._util import ceil_div
+from .._util import ceil_div, sorted_distinct
 from ..errors import TileError
 from ..formats.coo import COOMatrix
 
@@ -30,7 +30,7 @@ def count_nonempty_tiles(coo: COOMatrix, nt: int) -> int:
         return 0
     nc = ceil_div(coo.shape[1], nt)
     key = (coo.row // nt) * nc + coo.col // nt
-    return len(np.unique(key))
+    return len(sorted_distinct(key))
 
 
 def tile_nnz_histogram(coo: COOMatrix, nt: int) -> Dict[int, int]:

@@ -435,6 +435,19 @@ class TiledMatrix:
             self._column_entries = cached
         return cached
 
+    def column_order(self) -> np.ndarray:
+        """:attr:`EntryIndex.order` of :meth:`column_entries` — the
+        stable order of the stored entries by global column — without
+        gathering the index's rows and values when it is not built."""
+        cached = getattr(self, "_column_entries", None)
+        if cached is not None:
+            return cached.order
+        if self._column_order is not None:
+            return self._column_order
+        _, slot = self._entry_slots(self.n_tile_cols, self.tile_colidx,
+                                    self.local_col)
+        return radix_argsort(slot)
+
     def row_entries(self) -> EntryIndex:
         """The stored entries by global row, output index the global
         column (cached) — what the CSC-form kernel reads on a
@@ -454,14 +467,22 @@ class TiledMatrix:
         """An :class:`EntryIndex` keyed by one axis (the stored tiles'
         tile index and the entries' local index on it), output index
         the other axis."""
-        nt = self.nt
+        base, slot = self._entry_slots(n_key_tiles, key_tile, key_local)
+        out = ((out_tile * self.nt)[expand_indptr(self.tile_nnz_ptr)]
+               + out_local)
+        return EntryIndex.build(base, slot, out, self.values, self.nt,
+                                order)
+
+    def _entry_slots(self, n_key_tiles: int, key_tile: np.ndarray,
+                     key_local: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(slot_base, slot)`` of an :class:`EntryIndex` keyed by one
+        axis: each key tile's first slot and each entry's slot."""
         occupied = np.zeros(n_key_tiles, dtype=bool)
         occupied[key_tile] = True
-        base = tile_slot_base(occupied, nt)
-        tile_of_entry = expand_indptr(self.tile_nnz_ptr)
-        slot = base[key_tile][tile_of_entry] + key_local
-        out = (out_tile * nt)[tile_of_entry] + out_local
-        return EntryIndex.build(base, slot, out, self.values, nt, order)
+        base = tile_slot_base(occupied, self.nt)
+        slot = base[key_tile][expand_indptr(self.tile_nnz_ptr)] + key_local
+        return base, slot
 
     def tile_slice(self, t: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(local_row, local_col, values)`` views of stored tile ``t``."""

@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .._util import ceil_div
+from .._util import ceil_div, sorted_distinct
 from ..errors import ShapeError, TileError
 
 __all__ = ["TiledVector", "SUPPORTED_TILE_SIZES"]
@@ -142,7 +142,7 @@ class TiledVector:
             return cls(n, nt, x_ptr, np.zeros(0, dtype=dtype),
                        fill=fill)
         tile_ids = indices // nt
-        unique_tiles = np.unique(tile_ids)
+        unique_tiles = sorted_distinct(tile_ids)
         x_ptr[unique_tiles] = np.arange(len(unique_tiles))
         x_tile = np.full(len(unique_tiles) * nt, fill, dtype=dtype)
         compact = x_ptr[tile_ids] * nt + indices % nt

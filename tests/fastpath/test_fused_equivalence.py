@@ -193,6 +193,40 @@ def test_layer_kernels_forced_regimes(monkeypatch, factors):
                               pull_csc_kernel(op.A1, x, m)[0].words)
 
 
+@pytest.mark.parametrize("n, degree, nt, extract_threshold", [
+    (400, 4.0, 16, 2),      # side edges folded into the sweep
+    (1000, 6.0, 64, 0),     # side-free plan
+])
+def test_numpy_tier_sweeps_where_reference_gathers(n, degree, nt,
+                                                   extract_threshold):
+    """A layer the reference rule sends to the bit gather still takes
+    the compressed sweep in the NumPy tier: the sweep applies the side
+    edges itself (returns True), and the words equal the reference
+    Push-CSR result OR the reference side pass."""
+    coo = random_graph_coo(n, avg_degree=degree, seed=21)
+    op = TileBFS(coo, nt=nt, extract_threshold=extract_threshold)
+    assert (op.side.nnz > 0) == (extract_threshold > 0)
+    layout = FusedBFSLayout(op.A1, op.A2, op.side, op.n, op.nt)
+    fr, x, m = vectors(op.n, nt, 0.1, seed=1)
+    A1v = op.A2.column_view()
+    cols = np.flatnonzero(x.words)
+    counts = A1v.tile_ptr[cols + 1] - A1v.tile_ptr[cols]
+    n_bits = int((counts * np.bitwise_count(x.words[cols])).sum())
+    assert (bfs_kernels.BIT_GATHER_FACTOR * n_bits
+            <= op.A2.n_nonempty_tiles * op.nt)
+
+    y = BitVector.zeros(op.n, nt)
+    assert fused_push_csr(layout, fr, x, m, y, use_numba=False) is True
+    want = push_csr_kernel(op.A2, x, m)[0]
+    visited = np.zeros(op.n, dtype=bool)
+    visited[m.to_indices()] = True
+    in_frontier = np.zeros(op.n, dtype=bool)
+    op._side_kernel(fr, visited, in_frontier, want)
+    # on the side-free plan the side pass adds nothing: the words are
+    # exactly push_csr_kernel's
+    assert np.array_equal(y.words, want.words)
+
+
 def test_sweep_folds_side_edges():
     """The compressed sweep must carry one single-bit word per extracted
     side edge in addition to the stored A2 words, and the sweep result

@@ -63,6 +63,31 @@ class TestCanonicalization:
         assert out.nnz == 2
         assert out.to_dense()[0, 1] == 5.0
 
+    def test_sum_duplicates_canonical_input_is_copied(self):
+        """Strictly ascending keys skip the sort but still return a
+        copy with the same entries."""
+        coo = COOMatrix((3, 4), np.array([0, 0, 1, 2]),
+                        np.array([1, 3, 0, 2]),
+                        np.array([1.0, 2.0, 3.0, 4.0]))
+        out = coo.sum_duplicates()
+        for name in ("row", "col", "val"):
+            assert np.array_equal(getattr(out, name), getattr(coo, name))
+            assert not np.shares_memory(getattr(out, name),
+                                        getattr(coo, name))
+
+    @pytest.mark.parametrize("row, col", [
+        ([0, 1, 0], [1, 0, 2]),     # unsorted, no duplicates
+        ([0, 0, 1], [1, 1, 0]),     # sorted with a duplicate
+        ([1, 1], [2, 2]),           # only duplicates
+    ])
+    def test_sum_duplicates_matches_dense(self, row, col):
+        val = np.arange(1.0, len(row) + 1)
+        coo = COOMatrix((2, 3), np.array(row), np.array(col), val)
+        out = coo.sum_duplicates()
+        key = out.row * 3 + out.col
+        assert np.all(key[1:] > key[:-1])
+        assert np.array_equal(out.to_dense(), coo.to_dense())
+
     def test_sort_rowmajor(self):
         coo = COOMatrix((3, 3), np.array([2, 0, 1]), np.array([0, 2, 1]),
                         np.array([1.0, 2.0, 3.0]))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._util import (ceil_div, concat_ranges, group_starts,
-                         segment_reduce, segment_sum)
+                         segment_reduce, segment_sum, sorted_distinct)
 
 
 class TestCeilDiv:
@@ -102,3 +102,45 @@ class TestGroupStarts:
 
     def test_runs(self):
         assert group_starts(np.array([1, 1, 2, 5, 5, 5])).tolist() == [0, 2, 3]
+
+
+class TestSortedDistinct:
+    """The sort-based stand-in for ``np.unique(a)`` on integer keys."""
+
+    I64 = np.iinfo(np.int64)
+
+    def check(self, a):
+        a = np.asarray(a)
+        got = sorted_distinct(a)
+        want = np.unique(a)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_empty(self):
+        self.check(np.zeros(0, dtype=np.int64))
+        self.check(np.zeros(0, dtype=np.int32))
+
+    def test_one_element(self):
+        self.check(np.array([7]))
+
+    def test_duplicates(self):
+        self.check(np.array([3, 1, 3, 3, 0, 1, 9, 0]))
+        self.check(np.full(50, 4, dtype=np.int64))
+
+    def test_negatives_and_extremes(self):
+        self.check(np.array([self.I64.max, -5, self.I64.min, 0,
+                             self.I64.max, -5, self.I64.min, 1]))
+
+    def test_already_sorted(self):
+        self.check(np.arange(100, dtype=np.int64))
+        self.check(np.repeat(np.arange(-20, 20), 3))
+
+    def test_does_not_modify_input(self):
+        a = np.array([5, 2, 5, 1])
+        sorted_distinct(a)
+        assert a.tolist() == [5, 2, 5, 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=60))
+    def test_matches_unique(self, values):
+        self.check(np.array(values, dtype=np.int64))

@@ -179,13 +179,27 @@ class TestSymmetricStorageSharing:
 
     def test_pattern_is_symmetric(self):
         from repro.tiles import pattern_is_symmetric
+        from ..conftest import random_coo, random_graph_coo
 
-        sym = COOMatrix((3, 3), np.array([0, 1]), np.array([1, 0]))
-        asym = COOMatrix((3, 3), np.array([0]), np.array([1]))
-        rect = COOMatrix((2, 3), np.array([0]), np.array([1]))
-        assert pattern_is_symmetric(sym)
-        assert not pattern_is_symmetric(asym)
-        assert not pattern_is_symmetric(rect)
+        a, none = np.array, np.zeros(0, dtype=np.int64)
+        cases = [
+            (COOMatrix((3, 3), a([0, 1]), a([1, 0])), True),
+            (COOMatrix((3, 3), a([0]), a([1])), False),
+            (COOMatrix((2, 3), a([0]), a([1])), False),
+            # duplicates: (0,1) twice, (1,0) once is symmetric; as many
+            # keys each way but different sets is not
+            (COOMatrix((3, 3), a([0, 0, 1, 2]), a([1, 1, 0, 2])), True),
+            (COOMatrix((3, 3), a([0, 0, 2]), a([1, 1, 1])), False),
+            (COOMatrix((5, 5), none, none), True),
+            (COOMatrix((2, 5), none, none), False),
+            # zero values still count as pattern entries
+            (COOMatrix((3, 3), a([0, 1, 2]), a([2, 1, 0]),
+                       a([0.0, 0.0, 1.0])), True),
+            (random_graph_coo(90, 4.0, seed=4), True),
+            (random_coo(90, 90, density=0.05, seed=4), False),
+        ]
+        for coo, expected in cases:
+            assert pattern_is_symmetric(coo) is expected
 
     def test_reinterpreted_equals_rebuilt(self):
         from ..conftest import random_graph_coo

@@ -194,6 +194,16 @@ class TestMmapRoundTrip:
         with pytest.raises(IOFormatError):
             load_tiled_mmap(d)
 
+    def test_save_writes_the_order_without_the_index(self, coo, tmp_path):
+        """Saving computes the column order alone: the written order is
+        the entry index's, and the saved tiling caches no index."""
+        tm = TiledMatrix.from_coo(coo, 16)
+        d = save_tiled_mmap(tm, tmp_path / "s")
+        assert getattr(tm, "_column_entries", None) is None
+        order = np.load(d / "column_order.npy")
+        assert np.array_equal(order, tm.column_entries().order)
+        assert tm.column_order() is tm.column_entries().order
+
     def test_manifest_dtype_mismatch_rejected(self, coo, tmp_path):
         tm = TiledMatrix.from_coo(coo, 16)
         d = save_tiled_mmap(tm, tmp_path / "shard")
