@@ -77,11 +77,6 @@ def main(argv=None) -> int:
           f"{t['ref_ms']:.3f} -> {t['new_ms']:.3f} ms "
           f"= {t['speedup']:.1f}x "
           f"({t['iterations']} iterations, {t['reached']} reached)")
-    f = result["fastpath"]
-    print(f"{'fastpath':>10} end-to-end (tier={f['tier']}): "
-          f"{f['ref_ms']:.3f} -> {f['new_ms']:.3f} ms "
-          f"= {f['speedup']:.1f}x "
-          f"({f['iterations']} iterations, {f['reached']} reached)")
     s = result["msbfs"]
     print(f"{'msbfs':>10} end-to-end ({s['sources']} sources): "
           f"{s['ref_ms']:.3f} -> {s['new_ms']:.3f} ms "

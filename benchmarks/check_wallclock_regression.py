@@ -41,11 +41,6 @@ def main(argv=None) -> int:
                         help="committed baseline report (JSON)")
     parser.add_argument("--floor", type=float, default=0.6,
                         help="minimum fraction of the committed speedup")
-    parser.add_argument("--fastpath-floor", type=float, default=0.6,
-                        help="floor for the fused fast-path section "
-                             "(fails when its end-to-end speedup drops "
-                             "below this fraction of the committed "
-                             "value; default 0.6)")
     parser.add_argument("--parallel-floor", type=float, default=0.8,
                         help="floor for the parallel worker-sweep "
                              "section; its guarded speedup is the "
@@ -59,8 +54,7 @@ def main(argv=None) -> int:
     committed = json.loads(args.committed.read_text(encoding="utf-8"))
     failures = check_regression(
         current, committed, floor=args.floor,
-        section_floors={"fastpath": args.fastpath_floor,
-                        "parallel": args.parallel_floor})
+        section_floors={"parallel": args.parallel_floor})
     if failures:
         print(f"wall-clock regression: {len(failures)} failure(s) vs "
               f"the committed baseline (floor {args.floor:g}x)")

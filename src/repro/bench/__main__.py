@@ -12,8 +12,8 @@ harness (oracles, sibling cross-checks, counter invariants, metamorphic
 relations) over the operator registry — see ``verify --help``.
 
 ``python -m repro.bench profile`` prints a per-layer host-time
-breakdown of the BFS hot loop (reference loop vs. the compiled fast
-path) and can dump cProfile captures — see ``profile --help``.
+breakdown of the TileBFS layer loop and can dump a cProfile capture —
+see ``profile --help``.
 """
 
 from __future__ import annotations

@@ -1,19 +1,17 @@
 """Host-side profiling of the BFS hot loop: ``python -m repro.bench
 profile``.
 
-Answers "where does the wall-clock go?" for the traversal operators —
-the question that motivated the compiled fast path (ROADMAP item 4).
+Answers "where does the wall-clock go?" for the TileBFS layer loop.
 Two views of the same run:
 
-* a **per-layer breakdown**: every BFS layer timed individually for
-  both execution tiers (``kernels`` — the reference per-kernel loop —
-  and ``fastpath`` — the fused per-layer tier), with the chosen kernel
-  and frontier size, so regressions can be pinned to one layer/regime;
-* a **cProfile capture** of the end-to-end run per tier, exported as a
+* a **per-layer breakdown**: every BFS layer timed individually, with
+  the chosen kernel and frontier size, so regressions can be pinned to
+  one layer/regime;
+* a **cProfile capture** of the end-to-end run, exported as a
   ``pstats`` dump for interactive digging.
 
-Results serialize to JSON (schema mirrors ``BENCH_wallclock.json``:
-``{"meta": ..., "sections": ...}``) for EXPERIMENTS.md bookkeeping.
+Results serialize to JSON (``{"meta": ..., "total_ms": ...,
+"layers": [...]}``) for EXPERIMENTS.md bookkeeping.
 """
 
 from __future__ import annotations
@@ -27,14 +25,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.selection import KernelSelector
 from ..core.tilebfs import TileBFS
 from ..fastpath import fastpath_tier
 from ..matrices.generators import rmat
 
 __all__ = ["profile_bfs", "main"]
-
-_TIERS = ("kernels", "fastpath")
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -49,53 +44,33 @@ def _best_of(fn, repeats: int) -> float:
 def profile_bfs(scale: int = 17, edge_factor: int = 16, nt: int = 64,
                 source: int = 0, repeats: int = 5,
                 pstats_out: Optional[str] = None) -> dict:
-    """Profile one TileBFS traversal under both execution tiers.
+    """Profile one TileBFS traversal.
 
     Returns the result document (also what the CLI writes as JSON).
-    With ``pstats_out``, a cProfile capture of each tier's run is
-    dumped to ``<pstats_out>.<tier>.pstats``.
+    With ``pstats_out``, a cProfile capture of the run is dumped to
+    that path.
     """
     coo = rmat(scale, edge_factor=edge_factor, seed=7)
-    sections: dict = {}
-    for tier in _TIERS:
-        op = TileBFS(coo, nt=nt, selector=KernelSelector(tier=tier))
-        result = op.run(source)    # warm the plan + layouts
-        total_ms = _best_of(lambda: op.run(source), repeats)
+    op = TileBFS(coo, nt=nt)
+    result = op.run(source)    # warm the plan + layouts
+    total_ms = _best_of(lambda: op.run(source), repeats)
 
-        # per-layer breakdown: run layer-by-layer via max_depth slicing
-        # (each prefix is re-traversed; the difference isolates a layer)
-        prefix_ms = [0.0]
-        for depth in range(1, len(result.iterations) + 1):
-            prefix_ms.append(_best_of(
-                lambda d=depth: op.run(source, max_depth=d), repeats))
-        layers = []
-        for i, it in enumerate(result.iterations):
-            layers.append({
-                "depth": it.depth,
-                "kernel": it.kernel,
-                "frontier_size": it.frontier_size,
-                "new_vertices": it.new_vertices,
-                "ms": round(max(0.0, prefix_ms[i + 1] - prefix_ms[i]), 4),
-            })
-        section = {
-            "total_ms": round(total_ms, 4),
-            "iterations": len(result.iterations),
-            "reached": int(np.count_nonzero(result.levels >= 0)),
-            "layers": layers,
-        }
-        if pstats_out:
-            prof = cProfile.Profile()
-            prof.enable()
-            op.run(source)
-            prof.disable()
-            path = f"{pstats_out}.{tier}.pstats"
-            pstats.Stats(prof).dump_stats(path)
-            section["pstats"] = path
-        sections[tier] = section
-
-    ref = sections["kernels"]["total_ms"]
-    new = sections["fastpath"]["total_ms"]
-    return {
+    # per-layer breakdown: run layer-by-layer via max_depth slicing
+    # (each prefix is re-traversed; the difference isolates a layer)
+    prefix_ms = [0.0]
+    for depth in range(1, len(result.iterations) + 1):
+        prefix_ms.append(_best_of(
+            lambda d=depth: op.run(source, max_depth=d), repeats))
+    layers = []
+    for i, it in enumerate(result.iterations):
+        layers.append({
+            "depth": it.depth,
+            "kernel": it.kernel,
+            "frontier_size": it.frontier_size,
+            "new_vertices": it.new_vertices,
+            "ms": round(max(0.0, prefix_ms[i + 1] - prefix_ms[i]), 4),
+        })
+    doc = {
         "meta": {
             "benchmark": "profile",
             "scale": scale,
@@ -107,27 +82,32 @@ def profile_bfs(scale: int = 17, edge_factor: int = 16, nt: int = 64,
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        "sections": sections,
-        "speedup": round(ref / new, 3) if new > 0 else None,
+        "total_ms": round(total_ms, 4),
+        "iterations": len(result.iterations),
+        "reached": int(np.count_nonzero(result.levels >= 0)),
+        "layers": layers,
     }
+    if pstats_out:
+        prof = cProfile.Profile()
+        prof.enable()
+        op.run(source)
+        prof.disable()
+        pstats.Stats(prof).dump_stats(pstats_out)
+        doc["pstats"] = pstats_out
+    return doc
 
 
 def _format_report(doc: dict) -> str:
-    lines = []
     meta = doc["meta"]
-    lines.append(f"TileBFS profile: R-MAT scale {meta['scale']} "
-                 f"(nt={meta['nt']}, tier={meta['fastpath_tier']})")
-    for tier, section in doc["sections"].items():
-        lines.append(f"  [{tier}] total {section['total_ms']:.2f} ms, "
-                     f"{section['iterations']} layers, "
-                     f"{section['reached']} reached")
-        for layer in section["layers"]:
-            lines.append(
-                f"    depth {layer['depth']}: {layer['kernel']:>9s} "
-                f"|frontier|={layer['frontier_size']:<7d} "
-                f"{layer['ms']:7.2f} ms")
-    if doc["speedup"] is not None:
-        lines.append(f"  fastpath speedup: {doc['speedup']:.2f}x")
+    lines = [f"TileBFS profile: R-MAT scale {meta['scale']} "
+             f"(nt={meta['nt']}, kernels={meta['fastpath_tier']})",
+             f"  total {doc['total_ms']:.2f} ms, "
+             f"{doc['iterations']} layers, {doc['reached']} reached"]
+    for layer in doc["layers"]:
+        lines.append(
+            f"    depth {layer['depth']}: {layer['kernel']:>9s} "
+            f"|frontier|={layer['frontier_size']:<7d} "
+            f"{layer['ms']:7.2f} ms")
     return "\n".join(lines)
 
 
@@ -137,8 +117,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench profile",
         description="Per-layer host-time breakdown + cProfile capture "
-                    "of the TileBFS hot loop, reference loop vs. the "
-                    "compiled fast path.")
+                    "of the TileBFS layer loop.")
     parser.add_argument("--scale", type=int, default=17,
                         help="R-MAT scale (default: 17)")
     parser.add_argument("--edge-factor", type=int, default=16,
@@ -153,9 +132,8 @@ def main(argv=None) -> int:
                         help="small CI-sized run (scale 12, 2 repeats)")
     parser.add_argument("--out", default=None, metavar="JSON",
                         help="write the result document as JSON")
-    parser.add_argument("--pstats-out", default=None, metavar="PREFIX",
-                        help="dump cProfile stats to "
-                             "PREFIX.<tier>.pstats")
+    parser.add_argument("--pstats-out", default=None, metavar="PATH",
+                        help="dump cProfile stats to PATH")
     args = parser.parse_args(argv)
 
     scale = 12 if args.smoke else args.scale

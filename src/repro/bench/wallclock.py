@@ -32,7 +32,6 @@ from ..core.reference_bfs_kernels import (reference_msbfs_expand,
                                           reference_push_csr_kernel)
 from ..core.reference_kernels import (reference_csc_tiled_kernel,
                                       reference_tiled_kernel)
-from ..core.selection import KernelSelector
 from ..core.spmm_kernels import (spmm_merge_path_kernel,
                                  spmm_row_warp_kernel)
 from ..core.spmspv_kernels import (batched_union_kernel,
@@ -148,7 +147,7 @@ def _seed_tilebfs_ms(bfs: TileBFS, source: int, repeats: int) -> Dict:
     """The seed ``TileBFS.run`` loop, replayed over the same plan with
     the oracle kernels: per-layer ``BitVector`` allocation, double
     index conversion, ``m.count()``, O(n) side-kernel scratch — the
-    baseline the allocation-free rewrite is measured against."""
+    baseline the fused layer loop is measured against."""
     impls = {"push_csc": lambda x, m: reference_push_csc_kernel(
                  bfs.A1, x, m),
              "push_csr": lambda x, m: reference_push_csr_kernel(
@@ -322,33 +321,16 @@ def run_wallclock(scale: int = 17, edge_factor: int = 16, nt: int = 16,
     assert new_bfs["reached"] == ref_bfs["reached"]
 
     say("TileBFS (bitmask) per-kernel breakdown")
-    # the "tilebfs" section measures the classic per-kernel loop (its
-    # committed baselines predate the fused tier), so pin the tier;
-    # the fused tier gets its own section below
-    bfs_op = TileBFS(coo, selector=KernelSelector(tier="kernels"))
+    bfs_op = TileBFS(coo)
     visited_fractions = (0.9, 0.98) if smoke else (0.5, 0.9, 0.98)
     kernel_rows = _bfs_kernel_rows(bfs_op, densities, visited_fractions,
                                    repeats, rng, say)
 
-    say("TileBFS end to end: active-tile loop vs seed loop")
+    say("TileBFS end to end: fused layer loop vs seed loop")
     tilebfs_new = _best_ms(lambda: bfs_op.run(0), repeats)
     res = bfs_op.run(0)
     seed_run = _seed_tilebfs_ms(bfs_op, source=0, repeats=repeats)
     assert np.array_equal(res.levels, seed_run["levels"])
-
-    say("TileBFS fused fast path vs classic kernel loop")
-    fast_op = TileBFS(coo, selector=KernelSelector(tier="fastpath"))
-    fast_res = fast_op.run(0)
-    assert np.array_equal(fast_res.levels, res.levels)
-    # the quantity under test is the ratio, so interleave the two
-    # timings: ambient load perturbs both sides equally instead of
-    # whichever side happened to run during a noisy window
-    fastpath_ref_ms = fastpath_ms = float("inf")
-    for _ in range(repeats):
-        fastpath_ref_ms = min(fastpath_ref_ms,
-                              _best_ms(lambda: bfs_op.run(0), 1))
-        fastpath_ms = min(fastpath_ms,
-                          _best_ms(lambda: fast_op.run(0), 1))
 
     say("batched engine: coalesced union launch vs looped singles")
     batch_sizes = (batch,) if smoke else (batch, batch * 4)
@@ -530,6 +512,7 @@ def run_wallclock(scale: int = 17, edge_factor: int = 16, nt: int = 16,
             "repeats": repeats,
             "batch": batch,
             "smoke": bool(smoke),
+            "fastpath_tier": fastpath_tier(),
             "reference": "repro.core.reference_kernels (seed O(nnz) "
                          "mask-based kernels)",
         },
@@ -551,16 +534,6 @@ def run_wallclock(scale: int = 17, edge_factor: int = 16, nt: int = 16,
                         if tilebfs_new > 0 else float("inf")),
             "iterations": len(res.iterations),
             "reached": res.n_reached,
-        },
-        "fastpath": {
-            "tier": fastpath_tier(),
-            "nt": fast_op.nt,
-            "ref_ms": fastpath_ref_ms,
-            "new_ms": fastpath_ms,
-            "speedup": (fastpath_ref_ms / fastpath_ms
-                        if fastpath_ms > 0 else float("inf")),
-            "iterations": len(fast_res.iterations),
-            "reached": fast_res.n_reached,
         },
         "msbfs": {
             "sources": int(len(ms_sources)),
@@ -630,7 +603,7 @@ def _speedup_entries(report: Dict) -> Dict[str, tuple]:
         # never waved through as timer noise
         entries[f"parallel/w{row['workers']}"] = \
             (row["speedup"], min_ms(row))
-    for section in ("bfs", "tilebfs", "fastpath", "msbfs"):
+    for section in ("bfs", "tilebfs", "msbfs"):
         if section in report:
             entries[section] = (report[section]["speedup"],
                                 min_ms(report[section]))
@@ -653,9 +626,9 @@ def check_regression(current: Dict, committed: Dict, floor: float = 0.6,
 
     ``section_floors`` overrides ``floor`` per section (a label's
     section is its prefix before the first ``/``, or the whole label
-    for scalar sections) — e.g. ``{"fastpath": 0.6}`` pins the fused
-    tier's end-to-end speedup to 60% of its committed value even when
-    the global floor is looser.
+    for scalar sections) — e.g. ``{"parallel": 0.8}`` holds the
+    deterministic modeled worker sweep to a tighter floor than the
+    timed sections.
 
     Any section recorded in ``committed`` (every non-meta key; see
     :func:`known_sections`) but missing from ``current`` is itself a

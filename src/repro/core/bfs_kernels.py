@@ -22,8 +22,9 @@ line shared by Algorithms 5-7.
 
 Each kernel returns ``(y, counters)`` where ``y`` is the
 :class:`~repro.tiles.bitmask.BitVector` of newly found vertices; pass
-``out=`` to reuse a workspace vector instead of allocating (the
-allocation-free TileBFS layer loop does).
+``out=`` to reuse a workspace vector instead of allocating.  The
+TileBFS layer loop runs the result-only fused kernels of
+:mod:`repro.fastpath` and calls these only for a layer's counters.
 
 Active-tile execution
 ---------------------

@@ -61,15 +61,6 @@ class KernelSelector:
     pull_threshold:
         "The number of unvisited vertices is small" — Pull-CSC engages
         when ``unvisited / n`` drops below this fraction.
-    tier:
-        Execution tier for the per-layer loop.  ``"auto"`` (default)
-        uses the compiled fast path whenever it is applicable and
-        enabled (see :func:`repro.fastpath.fastpath_tier`);
-        ``"fastpath"`` insists on the fused tier even when the
-        ``REPRO_FASTPATH=off`` environment override is set;
-        ``"kernels"`` always runs the preserved per-launch reference
-        kernels.  The tier changes host execution strategy only —
-        results and modeled counters are identical across tiers.
     """
 
     enabled: FrozenSet[str] = field(default_factory=lambda: _ALL)
@@ -85,7 +76,6 @@ class KernelSelector:
     #: kernel-equivalence / correctness grids.  BFS kernels steer
     #: :meth:`choose`, SpMM kernels steer :meth:`choose_spmm`.
     forced: Optional[str] = None
-    tier: str = "auto"
 
     def __post_init__(self) -> None:
         bad = set(self.enabled) - _ALL
@@ -101,9 +91,6 @@ class KernelSelector:
             raise TileError("spmm_imbalance_threshold must be >= 1")
         if self.forced is not None and self.forced not in (_ALL | _SPMM):
             raise TileError(f"unknown forced kernel {self.forced!r}")
-        if self.tier not in ("auto", "fastpath", "kernels"):
-            raise TileError(f"unknown execution tier {self.tier!r}; "
-                            "expected auto, fastpath, or kernels")
 
     # ------------------------------------------------------------------
     @classmethod

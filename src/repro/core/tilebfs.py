@@ -12,7 +12,10 @@ The driver follows the paper's structure exactly:
 2. Iterate: each layer picks Push-CSC / Push-CSR / Pull-CSC with the
    §3.4 rule via :class:`~repro.core.selection.KernelSelector`, ORs the
    newly found vertices into the visited mask and promotes them to the
-   next frontier, until no new vertex appears.
+   next frontier, until no new vertex appears.  The layer loop is
+   :func:`repro.fastpath.fused_bfs.run_fused`: one fused call per
+   layer, with the modeled counters priced inline, deferred to a
+   production replay, or skipped, as the launch context asks.
 
 The run records a per-iteration trace (kernel used, frontier size,
 simulated ms) — the raw series behind the paper's Figure 10.
@@ -28,24 +31,15 @@ import numpy as np
 from ..errors import ShapeError
 from ..formats.convert import to_coo
 from ..formats.coo import COOMatrix
-from ..gpusim import Device, KernelCounters
+from ..gpusim import Device
 from ..runtime import (OperatorPlan, PlanCache, ScopedOperator,
                        default_plan_cache, matrix_token)
-from ..tiles.bitmask import (BitTiledMatrix, BitVector,
-                             pattern_is_symmetric)
+from ..tiles.bitmask import BitTiledMatrix, pattern_is_symmetric
 from ..tiles.extraction import split_very_sparse_tiles
 from ..tiles.tiled_vector import SUPPORTED_TILE_SIZES
-from .bfs_kernels import pull_csc_kernel, push_csc_kernel, push_csr_kernel
-from .selection import (PULL_CSC, PUSH_CSC, PUSH_CSR, KernelSelector,
-                        select_tile_size)
+from .selection import KernelSelector, select_tile_size
 
 __all__ = ["TileBFS", "BFSResult", "IterationRecord", "tile_bfs"]
-
-#: Launch names precomputed per kernel — the hot loop must not build
-#: format strings per layer (cheap-when-off tracing).
-_LAUNCH_NAMES = {PUSH_CSC: "tilebfs_push_csc",
-                 PUSH_CSR: "tilebfs_push_csr",
-                 PULL_CSC: "tilebfs_pull_csc"}
 
 
 @dataclass(frozen=True)
@@ -180,33 +174,9 @@ class TileBFS(ScopedOperator):
         #: Row-compressed bitmask tiles (the A2 of Fig. 5).
         self.A2 = data["A2"]
         #: Whether the tiled pattern is symmetric — the validity
-        #: condition of Pull-CSC (see :meth:`run_multi`).
+        #: condition of Pull-CSC (the layer loop falls back to
+        #: Push-CSR on asymmetric patterns).
         self.symmetric = data["symmetric"]
-
-    # ------------------------------------------------------------------
-    def _use_fused(self) -> bool:
-        """Whether this traversal routes through the compiled fast path.
-
-        The fused kernels are result-only, so the tier engages exactly
-        when no counters are needed inline: functional runs (no device)
-        and production mode (accounting deferred to replay).  Modeled
-        counters-on execution always uses the reference kernels — that
-        is what keeps counters byte-identical by construction.
-        ``selector.tier`` pins the choice ("kernels" disables,
-        "fastpath" overrides the ``REPRO_FASTPATH=off`` env kill
-        switch); sharded matrices run their own level loop either way.
-        """
-        if self._sharded is not None:
-            return False
-        tier = self.selector.tier
-        if tier == "kernels":
-            return False
-        if not (self.ctx.device is None or self.ctx.production):
-            return False
-        if tier == "fastpath":
-            return True
-        from ..fastpath import fastpath_tier
-        return fastpath_tier() != "off"
 
     # ------------------------------------------------------------------
     def run(self, source: int, max_depth: Optional[int] = None) -> BFSResult:
@@ -226,82 +196,10 @@ class TileBFS(ScopedOperator):
             )
         if self._sharded is not None:
             return self._run_sharded(sources, max_depth)
-        if self._use_fused():
-            from ..fastpath.fused_bfs import run_fused
-            return run_fused(self, sources, max_depth)
-        levels = np.full(self.n, -1, dtype=np.int64)
-        levels[sources] = 0
-
-        # the layer loop is allocation-free: frontier / result / visited
-        # live in plan-owned scratch BitVectors, the visited count is
-        # maintained incrementally, frontier indices are materialised
-        # once per layer, and x / y ping-pong instead of re-allocating.
-        plan = self._plan
-        workspaces = [
-            plan.acquire_scratch(
-                "bitvector", lambda: BitVector.zeros(self.n, self.nt))
-            for _ in range(3)]
-        try:
-            x, y, m = workspaces
-            x.clear()
-            x.set_indices(sources)
-            m.words[:] = x.words          # visited mask
-            result = BFSResult(levels=levels)
-            depth = 0
-            frontier_idx = sources
-            frontier_size = len(sources)
-            visited_count = frontier_size
-            visited_bool = in_frontier = None
-            if self.side.nnz:
-                visited_bool = np.zeros(self.n, dtype=bool)
-                visited_bool[sources] = True
-                in_frontier = np.zeros(self.n, dtype=bool)
-
-            while frontier_size > 0:
-                if max_depth is not None and depth >= max_depth:
-                    break
-                depth += 1
-                kernel_name = self.selector.choose(
-                    frontier_sparsity=frontier_size / self.n,
-                    unvisited_fraction=(self.n - visited_count) / self.n,
-                )
-                if kernel_name == PULL_CSC and not self.symmetric:
-                    # Pull-CSC (Alg. 7) reads a vertex's stored column
-                    # as its in-edges, which only holds when the tiled
-                    # pattern is symmetric; on a directed graph pulling
-                    # would traverse edges backwards, so fall back to
-                    # the matrix-driven push form for this layer
-                    kernel_name = PUSH_CSR
-                counters = self._launch(kernel_name, x, m, out=y)
-                if self.side.nnz:
-                    side_counters = self._side_kernel(
-                        frontier_idx, visited_bool, in_frontier, y)
-                    counters = counters.merged(side_counters)
-                ms = self.ctx.launch(_LAUNCH_NAMES[kernel_name], counters,
-                                     phase="iteration")
-
-                n_new = y.count()
-                result.iterations.append(IterationRecord(
-                    depth=depth, kernel=kernel_name,
-                    frontier_size=frontier_size,
-                    new_vertices=n_new, simulated_ms=ms,
-                ))
-                result.simulated_ms += ms
-                if n_new == 0:
-                    break
-                new_idx = y.to_indices()
-                levels[new_idx] = depth
-                if visited_bool is not None:
-                    visited_bool[new_idx] = True
-                m |= y
-                visited_count += n_new
-                x, y = y, x
-                frontier_idx = new_idx
-                frontier_size = n_new
-            return result
-        finally:
-            for ws in workspaces:
-                plan.release_scratch("bitvector", ws)
+        # looked up at call time: the fused loop is the one in-core
+        # layer loop, and tooling may wrap it in its module
+        from ..fastpath.fused_bfs import run_fused
+        return run_fused(self, sources, max_depth)
 
     # ------------------------------------------------------------------
     def _run_sharded(self, sources: np.ndarray,
@@ -345,49 +243,6 @@ class TileBFS(ScopedOperator):
             visited[new_idx] = True
             frontier = new_idx
         return result
-
-    def _launch(self, kernel_name: str, x: BitVector, m: BitVector,
-                out: Optional[BitVector] = None) -> KernelCounters:
-        if kernel_name == PUSH_CSC:
-            return push_csc_kernel(self.A1, x, m, out=out)[1]
-        if kernel_name == PUSH_CSR:
-            return push_csr_kernel(self.A2, x, m, out=out)[1]
-        if kernel_name == PULL_CSC:
-            return pull_csc_kernel(self.A1, x, m, out=out)[1]
-        raise ShapeError(f"unknown kernel {kernel_name!r}")  # pragma: no cover
-
-    def _side_kernel(self, frontier: np.ndarray, visited: np.ndarray,
-                     in_frontier: np.ndarray, y: BitVector
-                     ) -> KernelCounters:
-        """Per-edge traversal of the extracted very-sparse COO part.
-
-        For each stored edge ``(i, j)``: if ``j`` is in the frontier
-        and ``i`` unvisited, claim ``i`` (ORed into ``y`` in place).
-        The paper offloads this part to GSwitch; a flat edge-list kernel
-        has the same per-edge cost profile (DESIGN.md §1).
-
-        ``frontier`` is the layer's materialised frontier indices,
-        ``visited`` the loop-maintained visited boolean, and
-        ``in_frontier`` a reusable scratch boolean the kernel scatters
-        into and cleans up again — the run loop owns all three, so no
-        O(n) array is allocated per layer.
-        """
-        counters = KernelCounters(launches=1)
-        src_active = np.zeros(self.side.nnz, dtype=bool)
-        if len(frontier):
-            in_frontier[frontier] = True
-            src_active = in_frontier[self.side.col]
-            in_frontier[frontier] = False
-        rows = self.side.row[src_active]
-        if len(rows):
-            rows = rows[~visited[rows]]
-            y.set_indices(rows)
-        counters.coalesced_read_bytes += self.side.nnz * 16.0  # edge list
-        counters.random_read_count += float(src_active.sum())  # mask checks
-        counters.atomic_ops += float(len(rows))
-        counters.random_write_count += float(len(rows))
-        counters.warps = max(1.0, self.side.nnz / 32.0)
-        return counters
 
     def compute_parents(self, result: BFSResult) -> np.ndarray:
         """Derive a BFS parent tree from a finished traversal.

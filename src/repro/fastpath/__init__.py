@@ -1,10 +1,9 @@
-"""Compiled per-layer fast path (ROADMAP item 4).
+"""The TileBFS layer loop: one fused call per layer.
 
-The wallclock benchmarks showed the kernels winning their battles while
-BFS end-to-end stalled: per-layer Python dispatch — kernel selection,
-counter tallies, launch bookkeeping, small-array launches — dominated
-the hot loop.  This package collapses one whole BFS layer into a single
-call:
+Per-layer Python dispatch — kernel selection, counter tallies, launch
+bookkeeping, small-array launches — used to dominate the BFS hot loop.
+This package collapses one whole BFS layer into a single call, and is
+the only in-core TileBFS layer loop:
 
 * :mod:`~repro.fastpath.numba_kernels` — loop-level fused kernels,
   ``@njit(cache=True)``-compiled when the ``fastpath`` extra is
@@ -13,14 +12,14 @@ call:
   :class:`~repro.fastpath.fused_layers.FusedBFSLayout` (compressed
   word-level sweep, side-edge CSC index, reusable buffers) and the
   mega-batched vectorized NumPy tier;
-* :mod:`~repro.fastpath.fused_bfs` — the fused traversal driver
-  :meth:`~repro.core.tilebfs.TileBFS.run_multi` routes through;
-* :mod:`~repro.fastpath.counter_model` — production-mode counter
-  replay, keeping the modeled timeline byte-identical on demand.
+* :mod:`~repro.fastpath.fused_bfs` — the layer loop
+  :meth:`~repro.core.tilebfs.TileBFS.run_multi` runs;
+* :mod:`~repro.fastpath.counter_model` — each layer's modeled
+  counters, priced inline on a counters-on run or deferred to a
+  production replay.
 
-Tier selection lives in :func:`fastpath_tier` (``REPRO_FASTPATH`` env:
-``auto`` / ``numba`` / ``numpy`` / ``off``) and can be pinned per
-operator with ``KernelSelector(tier=...)``.
+:func:`fastpath_tier` picks the Numba or NumPy kernels
+(``REPRO_FASTPATH`` env: ``auto`` / ``numba`` / ``numpy``).
 """
 
 from .runtime import FASTPATH_ENV, fastpath_tier, numba_available

@@ -1,18 +1,19 @@
-"""Production-mode counter replay for the fused BFS tier.
+"""The modeled counters of one TileBFS layer.
 
-The fused layer kernels compute no counters — in production mode each
-layer instead defers a zero-argument closure built here into the
-context's replay log.  The closure captures the layer's *inputs* (one
-frontier-word and one mask-word snapshot, ~16 KB each at scale 17, plus
-two side-kernel integers the fused side traversal produces for free)
-and, at :meth:`~repro.runtime.context.ExecutionContext.replay` time,
-runs the preserved reference kernel on them to obtain the counters.
+The fused layer kernels compute no counters.  Each layer instead builds
+a zero-argument closure here over the layer's *inputs* (the frontier
+and mask words, plus two side-kernel integers the fused side traversal
+produces for free) that runs the counter-producing kernel of
+:mod:`repro.core.bfs_kernels` on them.  A counters-on run calls it at
+once on the live words; production mode captures snapshot copies
+(~16 KB each at scale 17) and defers it to
+:meth:`~repro.runtime.context.ExecutionContext.replay`.
 
 Exactness is structural, not re-derived: the modeled counters are a
 pure function of the kernel inputs — the paper's cost model never
-depends on host execution strategy — so feeding the reference kernel
-identical inputs yields identical counters, launch for launch, to a
-counters-on run.  The production-replay verify check enforces this.
+depends on host execution strategy — so both paths yield identical
+counters, launch for launch.  The production-replay verify check and
+the seed-loop test in ``tests/core/test_tilebfs.py`` enforce this.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ __all__ = ["layer_counter_closure", "side_counters"]
 def side_counters(side_nnz: int, n_src_active: int,
                   n_claimed: int) -> KernelCounters:
     """The side-edge kernel's counters from its three determinants:
-    stored edges, edges leaving the frontier, and unvisited
-    destinations claimed (:meth:`TileBFS._side_kernel`'s exact math).
+    stored edges, edges leaving the frontier, and edges whose
+    destination was unvisited (one atomic claim each).  The per-edge
+    kernel reads the 16-byte edge list once, checks the visited mask
+    once per frontier edge and scatters once per claim (DESIGN.md §1).
     """
     c = KernelCounters(launches=1)
     c.coalesced_read_bytes += side_nnz * 16.0
@@ -51,8 +54,9 @@ def layer_counter_closure(op, kernel_name: str, x_words: np.ndarray,
                           ) -> Callable[[], KernelCounters]:
     """A deferred computation of one fused BFS layer's merged counters.
 
-    ``x_words`` / ``m_words`` are this layer's input snapshots (copies
-    — the live vectors ping-pong); ``side_stats`` is the
+    ``x_words`` / ``m_words`` are this layer's inputs (the live words
+    when the closure is called at once, snapshot copies when it is
+    deferred — the live vectors ping-pong); ``side_stats`` is the
     ``(n_src_active, n_claimed)`` pair from :func:`fused_side`, or
     ``None`` when the plan has no extracted side edges.
     """

@@ -1,20 +1,25 @@
-"""The fused TileBFS driver: one compiled call per layer.
+"""The TileBFS layer loop: one fused call per layer.
 
-:func:`run_fused` is the fast-path twin of
-:meth:`repro.core.tilebfs.TileBFS.run_multi`.  It keeps the reference
-loop's structure bit for bit — same scratch ping-pong, same §3.4
-kernel selection (including the Pull-CSC symmetry fallback), same
-results from each kernel — but every layer runs the
-result-only fused kernels from :mod:`repro.fastpath.fused_layers` /
-:mod:`repro.fastpath.numba_kernels`: no counter construction, no
-launch-name formatting, no tracer plumbing in the loop.
+:func:`run_fused` is the in-core traversal behind
+:meth:`repro.core.tilebfs.TileBFS.run_multi` (sharded matrices run
+their own level loop).  Each layer picks Push-CSC / Push-CSR /
+Pull-CSC with the §3.4 rule (including the Pull-CSC symmetry
+fallback), runs the result-only fused kernel from
+:mod:`repro.fastpath.fused_layers` / :mod:`repro.fastpath.numba_kernels`
+and ORs the new vertices into the visited mask.
 
-Accounting never happens inline here.  :meth:`TileBFS.run_multi` only
-routes to this driver when the context prices nothing (no device) or
-defers everything (production mode); in the latter case each layer
-appends one counter closure (:mod:`repro.fastpath.counter_model`) to
-the context's replay log, so the full modeled timeline stays available
-after the fact and matches a counters-on run exactly.
+Accounting is one branch per layer.  The layer's counters are a pure
+function of its inputs — the frontier and visited words plus the two
+side-kernel integers :func:`fused_side` returns — so
+:func:`~repro.fastpath.counter_model.layer_counter_closure` computes
+them with the counter-producing kernels of
+:mod:`repro.core.bfs_kernels`:
+
+* counters-on (``ctx.active``): the closure runs at once on the live
+  words, before the mask is updated, and the launch is priced inline;
+* production mode: the closure is built on snapshot copies (the live
+  vectors ping-pong) and deferred to the context's replay log;
+* functional (no device): nothing counter-related is built.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ from .runtime import fastpath_tier
 
 __all__ = ["run_fused", "bfs_layout"]
 
+#: Launch names precomputed per kernel — the hot loop must not build
+#: format strings per layer (cheap-when-off tracing).
 _LAUNCH_NAMES = {PUSH_CSC: "tilebfs_push_csc",
                  PUSH_CSR: "tilebfs_push_csr",
                  PULL_CSC: "tilebfs_pull_csc"}
@@ -47,18 +54,21 @@ def bfs_layout(op) -> FusedBFSLayout:
 
 def run_fused(op, sources: Sequence[int],
               max_depth: Optional[int]) -> "BFSResult":
-    """Run one traversal through the fused tier.
+    """Run one traversal of a prepared in-core
+    :class:`~repro.core.tilebfs.TileBFS`.
 
-    ``op`` is a prepared in-core :class:`~repro.core.tilebfs.TileBFS`;
-    sources are validated/deduplicated by the caller.  Iteration
-    records carry ``simulated_ms=0.0`` — in production mode the priced
-    timeline comes from ``op.ctx.replay()``.
+    Sources are validated/deduplicated by the caller.  Iteration
+    records carry the layer's priced ``simulated_ms`` when the context
+    is counters-on, and ``0.0`` otherwise — in production mode the
+    priced timeline comes from ``op.ctx.replay()``.
     """
     from ..core.tilebfs import BFSResult, IterationRecord
 
     layout = bfs_layout(op)
     use_numba = fastpath_tier() == "numba"
-    production = op.ctx.production
+    ctx = op.ctx
+    accounting = ctx.accounting
+    active = ctx.active
 
     levels = np.full(op.n, -1, dtype=np.int64)
     levels[sources] = 0
@@ -87,10 +97,12 @@ def run_fused(op, sources: Sequence[int],
                 unvisited_fraction=(op.n - visited_count) / op.n,
             )
             if kernel_name == PULL_CSC and not op.symmetric:
+                # Pull-CSC (Alg. 7) reads a vertex's stored column as
+                # its in-edges, which only holds when the tiled pattern
+                # is symmetric; on a directed graph pulling would
+                # traverse edges backwards, so fall back to the
+                # matrix-driven push form for this layer
                 kernel_name = PUSH_CSR
-            if production:
-                x_snap = x.words.copy()
-                m_snap = m.words.copy()
             y.clear()
             side_folded = False
             if kernel_name == PUSH_CSC:
@@ -101,24 +113,33 @@ def run_fused(op, sources: Sequence[int],
             else:
                 fused_pull_csc(layout, m, y, use_numba)
             side_stats = None
-            if layout.side_nnz and (not side_folded or production):
+            if layout.side_nnz and (not side_folded or accounting):
                 side_stats = fused_side(layout, frontier_idx, m, y,
-                                        want_stats=production,
+                                        want_stats=accounting,
                                         use_numba=use_numba,
                                         scatter=not side_folded)
-            if production:
-                op.ctx.defer(
+            ms = 0.0
+            if active:
+                # x and m still hold this layer's inputs
+                counters = layer_counter_closure(
+                    op, kernel_name, x.words, m.words, side_stats)()
+                ms = ctx.launch(_LAUNCH_NAMES[kernel_name], counters,
+                                phase="iteration")
+            elif accounting:
+                ctx.defer(
                     _LAUNCH_NAMES[kernel_name],
-                    layer_counter_closure(op, kernel_name, x_snap,
-                                          m_snap, side_stats),
+                    layer_counter_closure(op, kernel_name,
+                                          x.words.copy(),
+                                          m.words.copy(), side_stats),
                     phase="iteration")
 
             n_new = y.count()
             result.iterations.append(IterationRecord(
                 depth=depth, kernel=kernel_name,
                 frontier_size=frontier_size,
-                new_vertices=n_new, simulated_ms=0.0,
+                new_vertices=n_new, simulated_ms=ms,
             ))
+            result.simulated_ms += ms
             if n_new == 0:
                 break
             new_idx = y.to_indices()

@@ -22,7 +22,7 @@ A1/A2 tilings themselves:
 The layer kernels here are the NumPy tier of the fused fast path;
 :mod:`repro.fastpath.numba_kernels` holds the compiled loop tier.  All
 of them are result-only and byte-identical to the reference kernels in
-:mod:`repro.core.bfs_kernels` — counters are replayed afterwards by
+:mod:`repro.core.bfs_kernels` — a layer's counters come from
 :mod:`repro.fastpath.counter_model`.
 """
 
@@ -265,12 +265,12 @@ def fused_side(layout: FusedBFSLayout, frontier: np.ndarray,
     the frontier, drop visited bits against the mask words directly,
     and OR the survivors into ``y``.
 
-    Equivalent to the reference ``_side_kernel`` — the visited boolean
-    it filters on is the same vertex set as ``m``'s bits — without
-    maintaining any per-vertex boolean.  With ``want_stats`` (the
-    production counter replay), returns ``(n_src_active, n_claimed)``,
-    the side kernel's two data-dependent counter determinants; with
-    ``scatter=False`` (the sweep already streamed the folded side
+    Filters on ``m``'s bits directly, so no per-vertex visited boolean
+    is maintained.  With ``want_stats`` (any accounting run), returns
+    ``(n_src_active, n_claimed)`` — the edges leaving the frontier and
+    those whose destination is unvisited — the two data-dependent
+    determinants of :func:`~repro.fastpath.counter_model.side_counters`;
+    with ``scatter=False`` (the sweep already streamed the folded side
     edges) only the stats are computed.
     """
     if use_numba and scatter and not want_stats:

@@ -1,10 +1,11 @@
-"""Fast-path tier resolution.
+"""Fast-path kernel resolution.
 
-The compiled tier has two implementations of every fused layer kernel:
-a Numba ``@njit(cache=True)`` loop (when the optional ``fastpath``
-extra is installed) and a mega-batched vectorized NumPy fallback that
-keeps bare installs and CI legs without Numba working.  Which one runs
-— or whether the fused tier runs at all — resolves here.
+Every fused layer kernel has two implementations: a Numba
+``@njit(cache=True)`` loop (when the optional ``fastpath`` extra is
+installed) and a mega-batched vectorized NumPy fallback that keeps
+bare installs and CI legs without Numba working.  Which one runs
+resolves here; both produce the same words, and the modeled counters
+never depend on the choice.
 
 ``REPRO_FASTPATH`` environment override:
 
@@ -12,10 +13,7 @@ keeps bare installs and CI legs without Numba working.  Which one runs
 * ``numba`` — insist on Numba, degrading gracefully to NumPy with no
   error when it is not installed (so one CI matrix works everywhere);
 * ``numpy`` — force the vectorized fallback even when Numba is
-  installed (the equivalence grid pins both legs this way);
-* ``off`` — disable the fused tier; operators run the preserved
-  per-launch reference kernels (``KernelSelector(tier="fastpath")``
-  still overrides this).
+  installed (the equivalence grid pins both legs this way).
 """
 
 from __future__ import annotations
@@ -42,15 +40,13 @@ def numba_available() -> bool:
 
 
 def fastpath_tier() -> str:
-    """Resolve the effective tier: ``"numba"``, ``"numpy"``, or
-    ``"off"``.
+    """Resolve the effective kernel implementation: ``"numba"`` or
+    ``"numpy"``.
 
     Reads :data:`FASTPATH_ENV` on every call so tests can monkeypatch
     the environment per case; unknown values fall back to ``auto``.
     """
     env = os.environ.get(FASTPATH_ENV, "auto").strip().lower()
-    if env == "off":
-        return "off"
     if env == "numpy":
         return "numpy"
     # "numba", "auto", and anything unrecognised resolve by probing

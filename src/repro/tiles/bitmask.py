@@ -381,11 +381,15 @@ class BitTiledMatrix:
     @classmethod
     def from_coo(cls, coo: COOMatrix, nt: int,
                  orientation: str) -> "BitTiledMatrix":
-        """Compress a pattern (values ignored) into bitmask tiles."""
+        """Compress a pattern (values ignored) into bitmask tiles.
+
+        Any entry order is accepted and duplicates need no summing: the
+        stable tile-key sort groups the entries and the words are ORed
+        together, which is idempotent.
+        """
         if orientation not in ("csc", "csr"):
             raise TileError(f"orientation must be 'csc' or 'csr', "
                             f"got {orientation!r}")
-        coo = coo.sum_duplicates()
         m, n = coo.shape
         trow, tcol = coo.row // nt, coo.col // nt
         lrow = (coo.row % nt).astype(np.int64)

@@ -185,15 +185,16 @@ def split_very_sparse_tiles(coo: COOMatrix, nt: int,
     key_sorted = tile_key[order]
     starts = group_starts(key_sorted)
     counts = np.diff(np.concatenate([starts, [len(key_sorted)]]))
-    sparse_tile = counts <= threshold
-    entry_is_sparse = np.repeat(sparse_tile, counts)
-
-    idx_sparse = order[entry_is_sparse]
-    idx_dense = order[~entry_is_sparse]
-    side = COOMatrix(coo.shape, coo.row[idx_sparse], coo.col[idx_sparse],
-                     coo.val[idx_sparse]).canonicalize()
-    dense = COOMatrix(coo.shape, coo.row[idx_dense], coo.col[idx_dense],
-                      coo.val[idx_dense])
+    # mark entries through ``order`` and slice the canonical ``coo``
+    # by the mask: both parts keep its row-major order, so neither
+    # needs re-sorting downstream
+    entry_is_sparse = np.empty(coo.nnz, dtype=bool)
+    entry_is_sparse[order] = np.repeat(counts <= threshold, counts)
+    entry_is_dense = ~entry_is_sparse
+    side = COOMatrix(coo.shape, coo.row[entry_is_sparse],
+                     coo.col[entry_is_sparse], coo.val[entry_is_sparse])
+    dense = COOMatrix(coo.shape, coo.row[entry_is_dense],
+                      coo.col[entry_is_dense], coo.val[entry_is_dense])
     return HybridTiledMatrix(
         tiled=TiledMatrix.from_coo(dense, nt),
         side=side,

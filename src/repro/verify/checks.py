@@ -492,34 +492,8 @@ def check_mm_roundtrip(case: Case) -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
-# compiled fast-path checks
+# production-mode checks
 # ----------------------------------------------------------------------
-def check_fastpath_equivalence(case: Case) -> Optional[str]:
-    """The fused per-layer fast path must be byte-identical to the
-    reference kernel loop: same levels, same per-layer kernel
-    selections, same newly-claimed vertex counts."""
-    from ..core.selection import KernelSelector
-    from ..core.tilebfs import TileBFS
-    classic = TileBFS(case.matrix, nt=case.nt,
-                      selector=KernelSelector(tier="kernels"))
-    fused = TileBFS(case.matrix, nt=case.nt,
-                    selector=KernelSelector(tier="fastpath"))
-    for s in case.sources:
-        ref = classic.run(int(s))
-        got = fused.run(int(s))
-        if not np.array_equal(got.levels, ref.levels):
-            bad = int(np.argmax(got.levels != ref.levels))
-            return (f"fused levels from source {s} diverge at vertex "
-                    f"{bad}: got {got.levels[bad]}, "
-                    f"want {ref.levels[bad]}")
-        want = [(it.kernel, it.new_vertices) for it in ref.iterations]
-        have = [(it.kernel, it.new_vertices) for it in got.iterations]
-        if have != want:
-            return (f"fused layer trace from source {s} diverges: "
-                    f"got {have}, want {want}")
-    return None
-
-
 def check_production_replay(case: Case) -> Optional[str]:
     """Production mode (accounting compiled out, counters deferred)
     must replay into a timeline identical launch-for-launch to a
@@ -841,8 +815,6 @@ def checks_for(case: Case
     out = [("oracle", check_oracle_bfs),
            ("siblings", check_siblings_bfs),
            ("counters", check_counters)]
-    if entry.name == "tilebfs":
-        out.append(("fastpath-equivalence", check_fastpath_equivalence))
     if entry.name in ("tilebfs", "msbfs"):
         out.append(("production-replay", check_production_replay))
     return out
@@ -852,7 +824,7 @@ CHECK_NAMES = sorted({
     "oracle", "siblings", "counters", "permute-rows",
     "scale-linearity", "plan-cache-replay", "active-set-payload",
     "batch-of-one", "batched-union-bytes", "shard-invariance",
-    "parallel-invariance", "fastpath-equivalence", "production-replay",
+    "parallel-invariance", "production-replay",
     "serving-equivalence", "spmm-oracle", "spmm-column-slice",
     "spmm-kernel-parity",
     *_PRIMITIVE_CHECKS,

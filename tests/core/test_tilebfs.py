@@ -13,7 +13,7 @@ from repro.gpusim import Device, RTX3060, RTX3090
 from repro.matrices import (erdos_renyi, fem_like, mesh2d, rmat,
                             road_network)
 
-from ..conftest import nx_levels, random_graph_coo
+from ..conftest import nx_levels, random_coo, random_graph_coo, seed_tilebfs
 
 SELECTORS = [KernelSelector.k1(), KernelSelector.k1_k2(),
              KernelSelector.k1_k2_k3()]
@@ -225,3 +225,35 @@ class TestDirectedGraphs:
             kernels |= {it.kernel for it in res.iterations}
             assert np.array_equal(res.levels, nx_levels(coo, src))
         assert "pull_csc" in kernels
+
+
+class TestSeedLoop:
+    """Counters-on TileBFS must reproduce the seed layer loop launch for
+    launch: kernel names, counters and per-layer simulated ms."""
+
+    @pytest.mark.parametrize("selector", [
+        KernelSelector(), KernelSelector.fixed("push_csc"),
+        KernelSelector.fixed("push_csr"), KernelSelector.fixed("pull_csc"),
+    ], ids=["rule", "push_csc", "push_csr", "pull_csc"])
+    @pytest.mark.parametrize("extract_threshold", [0, 3])
+    @pytest.mark.parametrize("symmetric", [True, False],
+                             ids=["sym", "asym"])
+    def test_timeline_matches_seed_loop(self, symmetric,
+                                        extract_threshold, selector):
+        coo = (random_graph_coo(230, 5.0, seed=3) if symmetric
+               else random_coo(230, 230, density=0.04, seed=3))
+        dev = Device()
+        bfs = TileBFS(coo, nt=16, selector=selector,
+                      extract_threshold=extract_threshold, device=dev)
+        assert (bfs.side.nnz > 0) == (extract_threshold > 0)
+        seed_dev = Device()
+        for sources in ([0], [7], [0, 5, 101]):
+            res = bfs.run_multi(sources)
+            levels, trace = seed_tilebfs(bfs, sources, device=seed_dev)
+            assert np.array_equal(res.levels, levels)
+            assert [(it.kernel, it.frontier_size, it.new_vertices,
+                     it.simulated_ms) for it in res.iterations] == trace
+            assert res.simulated_ms == pytest.approx(
+                sum(t[3] for t in trace))
+        assert [(r.name, r.tag, r.counters) for r in dev.timeline] == \
+            [(r.name, r.tag, r.counters) for r in seed_dev.timeline]

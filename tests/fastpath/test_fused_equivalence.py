@@ -1,13 +1,13 @@
-"""Byte-identity of the compiled fast path against the reference loop.
+"""Byte-identity of the fused layer loop against the seed loop.
 
-The fused tier is a pure host-side execution strategy: for every graph,
-tile size, frontier density, kernel, and regime, a fused traversal must
-return the same levels and the same per-layer trace (kernel selection,
-frontier sizes, newly claimed vertices) as the preserved per-launch
-reference loop — and each fused layer kernel must produce the exact
-result words of its reference twin.  The grid runs under every tier
-implementation present (the vectorized NumPy fallback always; the
-Numba loops when the ``fastpath`` extra is installed).
+For every graph, tile size, frontier density, kernel, and regime, a
+TileBFS traversal must return the same levels and the same per-layer
+trace (kernel selection, frontier sizes, newly claimed vertices) as the
+seed layer loop over the oracle kernels (``seed_tilebfs``) — and each
+fused layer kernel must produce the exact result words of its
+reference kernel.  The grid runs under every kernel implementation
+present (the vectorized NumPy fallback always; the Numba loops when the
+``fastpath`` extra is installed).
 """
 
 import numpy as np
@@ -19,15 +19,14 @@ from repro.core.bfs_kernels import (pull_csc_kernel, push_csc_kernel,
 from repro.core.selection import (PULL_CSC, PUSH_CSC, PUSH_CSR,
                                   KernelSelector)
 from repro.core.tilebfs import TileBFS
-from repro.errors import TileError
 from repro.fastpath import FASTPATH_ENV, fastpath_tier, numba_available
-from repro.fastpath import fused_layers
+from repro.fastpath import fused_bfs, fused_layers
 from repro.fastpath.fused_layers import (FusedBFSLayout, fused_pull_csc,
                                          fused_push_csc, fused_push_csr,
                                          fused_side)
 from repro.tiles import BitVector
 
-from ..conftest import random_coo, random_graph_coo
+from ..conftest import random_coo, random_graph_coo, seed_tilebfs
 
 #: Tier implementations testable in this environment.
 TIERS = ["numpy"] + (["numba"] if numba_available() else [])
@@ -39,23 +38,20 @@ def graph(symmetric, n=230, seed=3):
     return random_coo(n, n, density=0.04, seed=seed)
 
 
-def trace(res):
-    return [(it.kernel, it.frontier_size, it.new_vertices)
-            for it in res.iterations]
+def assert_matches_seed(op, sources, max_depth=None):
+    """One traversal of ``op`` against the seed loop: levels and the
+    per-layer ``(kernel, frontier_size, new_vertices)`` trace."""
+    got = op.run_multi(sources, max_depth=max_depth)
+    levels, trace = seed_tilebfs(op, sources, max_depth=max_depth)
+    assert np.array_equal(got.levels, levels)
+    assert [(it.kernel, it.frontier_size, it.new_vertices)
+            for it in got.iterations] == [t[:3] for t in trace]
 
 
-def assert_equivalent(coo, sources, nt=16, max_depth=None, **sel_kwargs):
-    classic = TileBFS(coo, nt=nt,
-                      selector=KernelSelector(tier="kernels",
-                                              **sel_kwargs))
-    fused = TileBFS(coo, nt=nt,
-                    selector=KernelSelector(tier="fastpath",
-                                            **sel_kwargs))
-    for s in np.atleast_1d(sources):
-        ref = classic.run(int(s), max_depth=max_depth)
-        got = fused.run(int(s), max_depth=max_depth)
-        assert np.array_equal(got.levels, ref.levels)
-        assert trace(got) == trace(ref)
+def assert_equivalent(coo, sources, nt=16, **sel_kwargs):
+    op = TileBFS(coo, nt=nt, selector=KernelSelector(**sel_kwargs))
+    for s in sources:
+        assert_matches_seed(op, [s])
 
 
 # ----------------------------------------------------------------------
@@ -99,18 +95,10 @@ def test_forced_regimes(monkeypatch, env_tier, factors):
 
 def test_multi_source_and_max_depth(monkeypatch):
     monkeypatch.setenv(FASTPATH_ENV, "numpy")
-    coo = graph(True, seed=13)
-    sel_c = KernelSelector(tier="kernels")
-    sel_f = KernelSelector(tier="fastpath")
-    classic = TileBFS(coo, nt=16, selector=sel_c)
-    fused = TileBFS(coo, nt=16, selector=sel_f)
-    ref = classic.run_multi([0, 5, 77])
-    got = fused.run_multi([0, 5, 77])
-    assert np.array_equal(got.levels, ref.levels)
-    assert trace(got) == trace(ref)
+    op = TileBFS(graph(True, seed=13), nt=16)
+    assert_matches_seed(op, [0, 5, 77])
     for d in (0, 1, 2):
-        assert np.array_equal(fused.run(3, max_depth=d).levels,
-                              classic.run(3, max_depth=d).levels)
+        assert_matches_seed(op, [3], max_depth=d)
 
 
 @pytest.mark.parametrize("extract_threshold", [0, 2, 5])
@@ -119,14 +107,9 @@ def test_extraction_thresholds(monkeypatch, extract_threshold):
     threshold (none / default / aggressive) must stay equivalent."""
     monkeypatch.setenv(FASTPATH_ENV, "numpy")
     coo = random_graph_coo(170, avg_degree=3.0, seed=21)
-    classic = TileBFS(coo, nt=8, extract_threshold=extract_threshold,
-                      selector=KernelSelector(tier="kernels"))
-    fused = TileBFS(coo, nt=8, extract_threshold=extract_threshold,
-                    selector=KernelSelector(tier="fastpath"))
+    op = TileBFS(coo, nt=8, extract_threshold=extract_threshold)
     for s in (0, 60):
-        ref, got = classic.run(s), fused.run(s)
-        assert np.array_equal(got.levels, ref.levels)
-        assert trace(got) == trace(ref)
+        assert_matches_seed(op, [s])
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +185,9 @@ def test_numpy_tier_sweeps_where_reference_gathers(n, degree, nt,
     """A layer the reference rule sends to the bit gather still takes
     the compressed sweep in the NumPy tier: the sweep applies the side
     edges itself (returns True), and the words equal the reference
-    Push-CSR result OR the reference side pass."""
+    Push-CSR result OR a per-edge side oracle.  ``fused_side`` alone
+    must reproduce that oracle's words and its two counter
+    determinants (edges leaving the frontier, edges claimed)."""
     coo = random_graph_coo(n, avg_degree=degree, seed=21)
     op = TileBFS(coo, nt=nt, extract_threshold=extract_threshold)
     assert (op.side.nnz > 0) == (extract_threshold > 0)
@@ -215,16 +200,22 @@ def test_numpy_tier_sweeps_where_reference_gathers(n, degree, nt,
     assert (bfs_kernels.BIT_GATHER_FACTOR * n_bits
             <= op.A2.n_nonempty_tiles * op.nt)
 
+    # per-edge oracle of the side pass: every side edge leaving the
+    # frontier is active, and claims its destination when unvisited
+    src_active = np.isin(op.side.col, fr)
+    rows = op.side.row[src_active]
+    claimed = rows[~np.isin(rows, m.to_indices())]
+    side_words = BitVector.from_indices(claimed, op.n, nt).words
+
     y = BitVector.zeros(op.n, nt)
     assert fused_push_csr(layout, fr, x, m, y, use_numba=False) is True
-    want = push_csr_kernel(op.A2, x, m)[0]
-    visited = np.zeros(op.n, dtype=bool)
-    visited[m.to_indices()] = True
-    in_frontier = np.zeros(op.n, dtype=bool)
-    op._side_kernel(fr, visited, in_frontier, want)
-    # on the side-free plan the side pass adds nothing: the words are
-    # exactly push_csr_kernel's
-    assert np.array_equal(y.words, want.words)
+    want = push_csr_kernel(op.A2, x, m)[0].words | side_words
+    assert np.array_equal(y.words, want)
+
+    y_side = BitVector.zeros(op.n, nt)
+    stats = fused_side(layout, fr, m, y_side, want_stats=True)
+    assert stats == (int(src_active.sum()), len(claimed))
+    assert np.array_equal(y_side.words, side_words)
 
 
 def test_sweep_folds_side_edges():
@@ -261,11 +252,11 @@ def test_fused_side_stats_without_scatter():
 
 
 # ----------------------------------------------------------------------
-# tier resolution / routing
+# kernel resolution / the one loop
 # ----------------------------------------------------------------------
 def test_tier_resolution(monkeypatch):
     expect_auto = "numba" if numba_available() else "numpy"
-    for env, want in (("off", "off"), ("numpy", "numpy"),
+    for env, want in (("off", expect_auto), ("numpy", "numpy"),
                       ("auto", expect_auto), ("numba", expect_auto),
                       ("  NumPy ", "numpy"), ("bogus", expect_auto)):
         monkeypatch.setenv(FASTPATH_ENV, env)
@@ -274,37 +265,34 @@ def test_tier_resolution(monkeypatch):
     assert fastpath_tier() == expect_auto
 
 
-def test_selector_tier_validation():
-    with pytest.raises(TileError):
-        KernelSelector(tier="turbo")
-
-
-def test_routing_rules(monkeypatch):
-    """The fused tier engages exactly when counters are not needed
-    inline; ``tier=`` pins override the env kill switch."""
+def test_every_mode_runs_the_one_loop(monkeypatch):
+    """Functional, counters-on and production runs all take the fused
+    loop, looked up in its module at call time."""
     from repro.gpusim import Device
+    from repro.runtime import ExecutionContext
+    calls = []
+    real = fused_bfs.run_fused
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].ctx.mode)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fused_bfs, "run_fused", counting)
     coo = random_graph_coo(64, avg_degree=4.0, seed=1)
-    monkeypatch.setenv(FASTPATH_ENV, "numpy")
-    assert TileBFS(coo, nt=8)._use_fused()
-    assert not TileBFS(coo, nt=8, device=Device())._use_fused()
-    assert not TileBFS(coo, nt=8,
-                       selector=KernelSelector(tier="kernels"))._use_fused()
-    monkeypatch.setenv(FASTPATH_ENV, "off")
-    assert not TileBFS(coo, nt=8)._use_fused()
-    assert TileBFS(coo, nt=8,
-                   selector=KernelSelector(tier="fastpath"))._use_fused()
+    for device in (None, Device(), ExecutionContext(mode="production")):
+        TileBFS(coo, nt=8, device=device).run(0)
+    assert calls == ["modeled", "modeled", "production"]
 
 
 def test_sharded_matrix_falls_back(monkeypatch, tmp_path):
-    """Sharded matrices run the level loop regardless of tier — and the
-    pinned fastpath tier must still produce reference levels."""
+    """Sharded matrices run their own level loop (sharded pattern
+    multiplies), and it must still produce the in-core levels."""
     from repro.shards.sharded_matrix import ShardedTiledMatrix
     monkeypatch.setenv(FASTPATH_ENV, "numpy")
     coo = random_graph_coo(120, avg_degree=4.0, seed=3)
     sm = ShardedTiledMatrix.from_coo(coo, nt=16, n_shards=3,
                                      store_dir=tmp_path)
-    op = TileBFS(sm, selector=KernelSelector(tier="fastpath"))
-    assert not op._use_fused()
-    ref = TileBFS(coo, nt=16,
-                  selector=KernelSelector(tier="kernels")).run(0)
-    assert np.array_equal(op.run(0).levels, ref.levels)
+    got = TileBFS(sm).run(0)
+    assert {it.kernel for it in got.iterations} == {"sharded_push"}
+    ref = TileBFS(coo, nt=16).run(0)
+    assert np.array_equal(got.levels, ref.levels)

@@ -4,7 +4,7 @@
 hot loops; :meth:`replay` must then price a timeline identical launch
 for launch — names, tags, phases, and every counter field — to a
 counters-on modeled run of the same workload, for every operator that
-participates (TileBFS through the fused tier, MS-BFS, TileSpMSpV, the
+participates (TileBFS, MS-BFS, TileSpMSpV, the
 sharded engine).
 """
 
@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.core.msbfs import MultiSourceBFS
-from repro.core.selection import KernelSelector
 from repro.core.spmspv import TileSpMSpV
 from repro.core.tilebfs import TileBFS
 from repro.gpusim import Device, KernelCounters
@@ -103,11 +102,9 @@ def test_tilebfs_production_replay(monkeypatch, symmetric):
         coo = random_coo(230, 230, density=0.04, seed=3)
 
     dev_ref = Device()
-    ref = TileBFS(coo, nt=16, device=dev_ref,
-                  selector=KernelSelector(tier="kernels")).run(0)
+    ref = TileBFS(coo, nt=16, device=dev_ref).run(0)
 
     op = TileBFS(coo, nt=16, device=ExecutionContext(mode="production"))
-    assert op._use_fused()
     got = op.run(0)
     assert np.array_equal(got.levels, ref.levels)
     # one deferred closure per layer, resolved only at replay time

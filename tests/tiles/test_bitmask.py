@@ -124,9 +124,24 @@ class TestBitTiledMatrix:
     @pytest.mark.parametrize("orientation", ["csc", "csr"])
     def test_pattern_roundtrip(self, nt, orientation):
         d = random_dense(50, 50, 0.1, seed=nt)
-        bm = BitTiledMatrix.from_coo(COOMatrix.from_dense(d), nt,
-                                     orientation)
+        coo = COOMatrix.from_dense(d)
+        bm = BitTiledMatrix.from_coo(coo, nt, orientation)
         assert np.array_equal(bm.to_coo().to_dense() != 0, d != 0)
+        # unsorted, with duplicates whose values sum to zero: the
+        # stored pattern is the same as the canonical input's
+        rng = np.random.default_rng(nt)
+        dup = rng.choice(coo.nnz, size=coo.nnz // 2, replace=False)
+        rows = np.concatenate([coo.row, coo.row[dup], coo.row[dup]])
+        cols = np.concatenate([coo.col, coo.col[dup], coo.col[dup]])
+        vals = np.concatenate([coo.val, np.ones(len(dup)),
+                               -(coo.val[dup] + 1.0)])
+        perm = rng.permutation(len(rows))
+        messy = BitTiledMatrix.from_coo(
+            COOMatrix(coo.shape, rows[perm], cols[perm], vals[perm]),
+            nt, orientation)
+        assert np.array_equal(messy.tile_ptr, bm.tile_ptr)
+        assert np.array_equal(messy.tile_otheridx, bm.tile_otheridx)
+        assert np.array_equal(messy.words, bm.words)
 
     def test_rejects_bad_orientation(self):
         with pytest.raises(TileError):

@@ -27,6 +27,17 @@ class TestSplit:
         d = dusty_matrix(1)
         hy = split_very_sparse_tiles(COOMatrix.from_dense(d), 8, 2)
         assert np.allclose(hy.to_coo().to_dense(), d)
+        # a shuffled input gives the same parts, the side row-major
+        coo = COOMatrix.from_dense(d)
+        perm = np.random.default_rng(0).permutation(coo.nnz)
+        shuffled = split_very_sparse_tiles(
+            COOMatrix(coo.shape, coo.row[perm], coo.col[perm],
+                      coo.val[perm]), 8, 2)
+        key = shuffled.side.row * coo.shape[1] + shuffled.side.col
+        assert shuffled.side.nnz and np.all(np.diff(key) > 0)
+        assert np.array_equal(key, hy.side.row * coo.shape[1]
+                              + hy.side.col)
+        assert np.allclose(shuffled.to_coo().to_dense(), d)
 
     def test_threshold_zero_extracts_nothing(self):
         d = dusty_matrix(2)
