@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Wall-clock benchmark of the matched-entry execution engine.
 
-Times the production SpMSpV kernels against the preserved O(nnz) seed
-oracles at swept frontier densities (multiply in CSR / CSC / batched
-form, plus an end-to-end BFS) and writes the measurements to
-``BENCH_wallclock.json`` — the perf trajectory future PRs append to.
+Times ``TileSpMSpV.multiply`` and the production kernels against the
+preserved O(nnz) seed oracles at swept frontier densities (multiply in
+CSR / CSC / batched form, plus an end-to-end BFS) and writes the
+measurements to ``BENCH_wallclock.json`` — the perf trajectory future
+PRs append to.
 
 Usage::
 
@@ -54,12 +55,13 @@ def main(argv=None) -> int:
     meta = result["meta"]
     print(f"{meta['matrix']}: n={meta['n']} nnz={meta['nnz']} "
           f"nt={meta['nt']}")
-    print(f"{'form':>8} {'density':>9} {'act.cols':>9} "
+    print(f"{'form':>8} {'density':>9} {'act.cols':>9} {'loops':>6} "
           f"{'ref ms':>9} {'new ms':>9} {'speedup':>8}")
     for r in result["multiply"]:
         print(f"{r['form']:>8} {r['density']:>9g} "
-              f"{r['active_col_fraction']:>9.4f} {r['ref_ms']:>9.3f} "
-              f"{r['new_ms']:>9.3f} {r['speedup']:>7.1f}x")
+              f"{r['active_col_fraction']:>9.4f} {r['loops']:>6} "
+              f"{r['ref_ms']:>9.3f} {r['new_ms']:>9.3f} "
+              f"{r['speedup']:>7.1f}x")
     b = result["bfs"]
     print(f"{'bfs':>8} {'-':>9} {'-':>9} {b['ref_ms']:>9.3f} "
           f"{b['new_ms']:>9.3f} {b['speedup']:>7.1f}x "

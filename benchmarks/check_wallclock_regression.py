@@ -9,7 +9,8 @@ holds across host machines of different speed; labels present on only
 one side are ignored so new benchmark rows can land without churn —
 but a whole report *section* recorded in the baseline and missing from
 the current report fails hard (a bench run that silently dropped a
-workload must not pass).
+workload must not pass).  Labels left uncompared because a timed side
+is under the noise floor are printed.
 
 Usage::
 
@@ -52,9 +53,14 @@ def main(argv=None) -> int:
 
     current = json.loads(args.current.read_text(encoding="utf-8"))
     committed = json.loads(args.committed.read_text(encoding="utf-8"))
-    failures = check_regression(
+    failures, skipped = check_regression(
         current, committed, floor=args.floor,
         section_floors={"parallel": args.parallel_floor})
+    if skipped:
+        print(f"{len(skipped)} label(s) not compared: the faster side "
+              f"is under the noise floor in one of the reports")
+        for label in skipped:
+            print(f"  {label}")
     if failures:
         print(f"wall-clock regression: {len(failures)} failure(s) vs "
               f"the committed baseline (floor {args.floor:g}x)")

@@ -119,7 +119,10 @@ def radix_argsort(keys: np.ndarray) -> np.ndarray:
     first (an LSD radix sort), instead of a comparison sort.
     """
     keys = np.asarray(keys)
+    # the cast to uint16 keeps the low 16 bits (integer casts wrap)
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
     if len(keys) == 0 or int(keys.max()) < 1 << 16:
-        return np.argsort(keys.astype(np.uint16), kind="stable")
-    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
-    return order[radix_argsort(keys[order] >> 16)]
+        return order
+    high = keys[order]
+    high >>= 16
+    return order[radix_argsort(high)]

@@ -3,11 +3,13 @@
 Everything else under :mod:`repro.bench` reports *simulated* GPU time
 from the cost model; this module times the **host** NumPy execution
 with ``time.perf_counter`` — the cost the matched-entry engine attacks.
-Each workload runs both the production kernels
-(:mod:`repro.core.spmspv_kernels`) and the preserved O(nnz) seed
-oracles (:mod:`repro.core.reference_kernels`) on identical inputs, so
-the recorded speedup is exactly the host-side win of gathering the
+Each workload runs both the production path and the preserved O(nnz)
+seed oracles (:mod:`repro.core.reference_kernels`) on identical inputs,
+so the recorded speedup is exactly the host-side win of gathering the
 entries whose x slot is set instead of masking all ``nnz`` entries.
+The ``multiply`` rows time :meth:`~repro.core.TileSpMSpV.multiply`
+itself (counters off) against the seed kernel of its form, each sample
+a loop of ``loops`` calls long enough to clear :data:`NOISE_FLOOR_MS`.
 
 ``benchmarks/bench_wallclock.py`` is the CLI wrapper; it writes the
 results to ``BENCH_wallclock.json`` so every PR leaves a perf data
@@ -17,9 +19,14 @@ wall-clock benchmarking").
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
 import time
-from typing import Callable, Dict, Optional, Sequence
+from pathlib import Path
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,8 +41,8 @@ from ..core.reference_kernels import (reference_csc_tiled_kernel,
                                       reference_tiled_kernel)
 from ..core.spmm_kernels import (spmm_merge_path_kernel,
                                  spmm_row_warp_kernel)
-from ..core.spmspv_kernels import (batched_union_kernel,
-                                   csc_tiled_kernel, tiled_kernel)
+from ..core.spmspv import TileSpMSpV
+from ..core.spmspv_kernels import batched_union_kernel, tiled_kernel
 from ..core.tilebfs import TileBFS
 from ..fastpath import fastpath_tier
 from ..gpusim import KernelCounters
@@ -45,6 +52,7 @@ from ..tiles.bitmask import BitVector
 from ..tiles.tiled_matrix import TiledMatrix
 from ..tiles.tiled_vector import TiledVector
 from ..vectors.dense_block import DenseBlock
+from ..vectors.sparse_vector import SparseVector
 
 __all__ = ["run_wallclock", "check_regression", "known_sections"]
 
@@ -58,6 +66,24 @@ def _best_ms(fn: Callable[[], object], repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best * 1e3
+
+
+def _loop_ms(fns: Sequence[Callable[[], object]], repeats: int,
+             floor_ms: float) -> tuple:
+    """``(K, [best ms of K calls of fn for fn in fns])``, with ``K`` the
+    fewest calls that keep the faster side's sample at twice
+    ``floor_ms`` — so a sub-floor kernel still yields a row the
+    regression guard compares, and timer noise stays a small part of
+    each sample.  The sides' samples are interleaved, so a slow spell
+    of a shared host lands on both sides of the ratio."""
+    once = min(_best_ms(fn, repeats) for fn in fns)
+    k = max(1, math.ceil(2.0 * floor_ms / once)) if once > 0 else 1
+    best = [float("inf")] * len(fns)
+    for _ in range(repeats):
+        for i, fn in enumerate(fns):
+            best[i] = min(best[i], _best_ms(
+                lambda: [fn() for _ in range(k)], 1))
+    return k, best
 
 
 def _frontier(n: int, density: float, nt: int,
@@ -212,6 +238,37 @@ def _seed_tilebfs_ms(bfs: TileBFS, source: int, repeats: int) -> Dict:
     return {"ms": ms, "levels": state["levels"]}
 
 
+def _tilebfs_ms(scale: int, edge_factor: int, seed: int, repeats: int
+                ) -> Dict[str, float]:
+    """Best-of-``repeats`` ms of the seed loop and then the fused layer
+    loop of TileBFS from vertex 0 of ``rmat(scale, edge_factor, seed)``
+    — the ``tilebfs`` row, run by :func:`_tilebfs_fresh`."""
+    bfs = TileBFS(rmat(scale, edge_factor=edge_factor, seed=seed))
+    seed_run = _seed_tilebfs_ms(bfs, source=0, repeats=repeats)
+    new_ms = _best_ms(lambda: bfs.run(0), repeats)
+    assert np.array_equal(bfs.run(0).levels, seed_run["levels"])
+    return {"ref_ms": seed_run["ms"], "new_ms": new_ms}
+
+
+def _tilebfs_fresh(scale: int, edge_factor: int, seed: int,
+                   repeats: int) -> Dict[str, float]:
+    """:func:`_tilebfs_ms` in a fresh interpreter.  How fast the seed
+    loop runs depends on the allocator state of its process (about 2x
+    slower on the smoke graph once any fused traversal has run), so
+    both loops are timed in a process that has run nothing else."""
+    code = ("import json, sys\n"
+            "from repro.bench.wallclock import _tilebfs_ms\n"
+            "print(json.dumps(_tilebfs_ms(*map(int, sys.argv[1:]))))")
+    path = [str(Path(__file__).resolve().parents[2]),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(scale), str(edge_factor),
+         str(seed), str(repeats)],
+        env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
 def _msbfs_ms(op: MultiSourceBFS, sources: np.ndarray, repeats: int,
               use_reference: bool) -> float:
     """Time a full MS-BFS run; with ``use_reference`` the expansion is
@@ -258,8 +315,9 @@ def run_wallclock(scale: int = 17, edge_factor: int = 16, nt: int = 16,
     Returns
     -------
     dict with ``meta``, per-density ``multiply`` rows (form, density,
-    active column fraction, reference/new ms, speedup) and a ``bfs``
-    record — the JSON payload of ``BENCH_wallclock.json``.
+    active column fraction, loops, reference/new ms of one loop,
+    speedup) and a ``bfs`` record — the JSON payload of
+    ``BENCH_wallclock.json``.
     """
     if smoke:
         # shrink the workload, not the repeats: smoke rows are sub-ms,
@@ -283,19 +341,23 @@ def run_wallclock(scale: int = 17, edge_factor: int = 16, nt: int = 16,
         t.n_occupied_tile_rows()
     A.column_entries()
     A.column_gather()
-    At.row_entries()
 
     n = A.shape[1]
     rng = np.random.default_rng(seed)
+    # what TileSpMSpV.multiply runs for each form, counters-off, on the
+    # same tiling (both forms run one host product; the form picks only
+    # the counters, which are off)
+    ops = {form: TileSpMSpV(A, nt=nt, mode=form) for form in ("csr", "csc")}
     rows = []
     for density in densities:
         x = _frontier(n, density, nt, rng)
+        xs = SparseVector(n, *x.to_sparse())
         frac = x.n_nonempty_tiles / max(1, x.n_tiles)
         say(f"density {density:g} (active cols {frac:.4f})")
         forms = [
-            ("csr", lambda: tiled_kernel(A, x),
+            ("csr", lambda: ops["csr"].multiply(xs),
              lambda: reference_tiled_kernel(A, x)),
-            ("csc", lambda: csc_tiled_kernel(At, x),
+            ("csc", lambda: ops["csc"].multiply(xs),
              lambda: reference_csc_tiled_kernel(At, x)),
         ]
         if batch > 1:
@@ -304,12 +366,13 @@ def run_wallclock(scale: int = 17, edge_factor: int = 16, nt: int = 16,
             for _ in range(batch):
                 _frontier(n, density, nt, rng)
         for form, new_fn, ref_fn in forms:
-            new_ms = _best_ms(new_fn, repeats)
-            ref_ms = _best_ms(ref_fn, repeats)
+            loops, (new_ms, ref_ms) = _loop_ms((new_fn, ref_fn), repeats,
+                                               NOISE_FLOOR_MS)
             rows.append({
                 "form": form,
                 "density": density,
                 "active_col_fraction": frac,
+                "loops": loops,
                 "ref_ms": ref_ms,
                 "new_ms": new_ms,
                 "speedup": ref_ms / new_ms if new_ms > 0 else float("inf"),
@@ -327,10 +390,8 @@ def run_wallclock(scale: int = 17, edge_factor: int = 16, nt: int = 16,
                                    repeats, rng, say)
 
     say("TileBFS end to end: fused layer loop vs seed loop")
-    tilebfs_new = _best_ms(lambda: bfs_op.run(0), repeats)
+    tilebfs = _tilebfs_fresh(scale, edge_factor, seed, repeats)
     res = bfs_op.run(0)
-    seed_run = _seed_tilebfs_ms(bfs_op, source=0, repeats=repeats)
-    assert np.array_equal(res.levels, seed_run["levels"])
 
     say("batched engine: coalesced union launch vs looped singles")
     batch_sizes = (batch,) if smoke else (batch, batch * 4)
@@ -528,10 +589,10 @@ def run_wallclock(scale: int = 17, edge_factor: int = 16, nt: int = 16,
         "bfs_kernels": kernel_rows,
         "tilebfs": {
             "nt": bfs_op.nt,
-            "ref_ms": seed_run["ms"],
-            "new_ms": tilebfs_new,
-            "speedup": (seed_run["ms"] / tilebfs_new
-                        if tilebfs_new > 0 else float("inf")),
+            "ref_ms": tilebfs["ref_ms"],
+            "new_ms": tilebfs["new_ms"],
+            "speedup": (tilebfs["ref_ms"] / tilebfs["new_ms"]
+                        if tilebfs["new_ms"] > 0 else float("inf")),
             "iterations": len(res.iterations),
             "reached": res.n_reached,
         },
@@ -613,14 +674,16 @@ def _speedup_entries(report: Dict) -> Dict[str, tuple]:
 def check_regression(current: Dict, committed: Dict, floor: float = 0.6,
                      noise_floor_ms: float = NOISE_FLOOR_MS,
                      section_floors: Optional[Dict[str, float]] = None
-                     ) -> list:
-    """Compare two wall-clock reports; list every regression.
+                     ) -> Tuple[list, list]:
+    """Compare two wall-clock reports; ``(failures, skipped)`` lists
+    every regression and every shared label left uncompared.
 
     A regression is a speedup in ``current`` below ``floor`` times the
     value recorded for the same label in ``committed``.  Labels present
     on only one side are ignored (new rows are allowed to appear), as
     are labels whose faster timed side is under ``noise_floor_ms`` in
-    either report (micro rows whose speedup is timer noise); ratios of
+    either report (micro rows whose speedup is timer noise — these are
+    returned in ``skipped``, so a guard never skips in silence); ratios of
     speedups are compared rather than raw milliseconds so the guard is
     stable across host machines of different speed.
 
@@ -637,7 +700,7 @@ def check_regression(current: Dict, committed: Dict, floor: float = 0.6,
     """
     cur = _speedup_entries(current)
     ref = _speedup_entries(committed)
-    failures = []
+    failures, skipped = [], []
     for section in known_sections(committed):
         if section not in current:
             failures.append({"label": f"section:{section}",
@@ -646,6 +709,7 @@ def check_regression(current: Dict, committed: Dict, floor: float = 0.6,
         cur_s, cur_ms = cur[label]
         ref_s, ref_ms = ref[label]
         if min(cur_ms, ref_ms) < noise_floor_ms:
+            skipped.append(label)
             continue
         label_floor = floor
         if section_floors:
@@ -658,4 +722,4 @@ def check_regression(current: Dict, committed: Dict, floor: float = 0.6,
                 "current_speedup": cur_s,
                 "floor": label_floor * ref_s,
             })
-    return failures
+    return failures, skipped

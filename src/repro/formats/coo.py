@@ -90,8 +90,9 @@ class COOMatrix(SparseMatrix):
     # Canonical form
     # ------------------------------------------------------------------
     def canonicalize(self) -> "COOMatrix":
-        """Return a row-major-sorted, duplicate-summed copy."""
-        return self.sum_duplicates().sort_rowmajor()
+        """Return a row-major-sorted, duplicate-summed copy
+        (:meth:`sum_duplicates` output is already row-major)."""
+        return self.sum_duplicates()
 
     def sort_rowmajor(self) -> "COOMatrix":
         """Return a copy sorted by ``(row, col)``."""
@@ -100,7 +101,8 @@ class COOMatrix(SparseMatrix):
                          self.val[order])
 
     def sum_duplicates(self) -> "COOMatrix":
-        """Return a copy in which duplicate coordinates are summed.
+        """Return a copy in which duplicate coordinates are summed, in
+        row-major order (ascending ``row * n + col`` keys).
 
         Canonical input (row-major, no duplicates: strictly ascending
         keys) is recognised in O(nnz) and copied without a sort.

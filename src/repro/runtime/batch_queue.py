@@ -324,9 +324,13 @@ class BatchQueue:
             self._affinity_seeded += sharded.seed_affinity_from_residency()
         elapsed_before = self.ctx.elapsed_ms
         error = None
+        # a batch nobody wants dense leaves sparse: a sparse product of
+        # few matched entries then never touches a length-m row
+        output = ("dense" if any(t.output == "dense" for t in group)
+                  else "sparse")
         try:
             Y = engine.multiply_batch([t._x for t in group],
-                                      output="dense",
+                                      output=output,
                                       tag=f"{self._tag_prefix}"
                                           f"batch={batch_id} "
                                           f"size={len(group)}")
@@ -341,7 +345,8 @@ class BatchQueue:
             elif ticket.output == "dense":
                 ticket._result = Y[b].copy()
             else:
-                ticket._result = engine.sparsify(Y[b])
+                ticket._result = (Y[b] if output == "sparse"
+                                  else engine.sparsify(Y[b]))
             ticket.done = True
             ticket.batch_id = batch_id
             ticket.batch_size = len(group)

@@ -181,6 +181,19 @@ class ExecutionContext:
                        tag=tag, phase=phase)
         return result
 
+    def account(self, name: str,
+                counter_fn: Callable[[], KernelCounters],
+                tag: Optional[str] = None,
+                phase: Optional[str] = None) -> None:
+        """Account for one launch whose counters ``counter_fn`` computes
+        (a pure function of immutable inputs): priced inline when
+        :attr:`active`, deferred to :meth:`replay` in production mode,
+        not computed at all otherwise."""
+        if self.active:
+            self.launch(name, counter_fn(), tag=tag, phase=phase)
+        else:
+            self.defer(name, counter_fn, tag=tag, phase=phase)
+
     def defer(self, name: str,
               counter_fn: Callable[[], KernelCounters],
               tag: Optional[str] = None,

@@ -13,6 +13,7 @@ experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -60,17 +61,31 @@ class IndexedSideMatrix:
     entries: EntryIndex
 
     @classmethod
-    def from_coo(cls, side: COOMatrix, nt: int) -> "IndexedSideMatrix":
-        tcol = side.col // nt
-        counts = np.bincount(tcol, minlength=ceil_div(side.shape[1], nt))
+    def from_coo(cls, side: COOMatrix, nt: int,
+                 entries: Optional[EntryIndex] = None
+                 ) -> "IndexedSideMatrix":
+        """Index ``side`` by column.  ``entries`` is its column index
+        when the caller already built it from :meth:`part` (as a part
+        of the plan's stacked index)."""
+        counts = np.bincount(side.col // nt,
+                             minlength=ceil_div(side.shape[1], nt))
         ptr = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=ptr[1:])
-        base = tile_slot_base(counts > 0, nt)
-        entries = EntryIndex.build(base, base[tcol] + side.col % nt,
-                                   side.row, side.val, nt)
+        if entries is None:
+            entries = EntryIndex.stack([cls.part(side, nt)], nt)
         return cls(shape=side.shape, nt=nt, coltile_ptr=ptr,
                    row=entries.out, col=side.col[entries.order],
                    val=entries.vals, entries=entries)
+
+    @staticmethod
+    def part(side: COOMatrix, nt: int) -> tuple:
+        """``(base, slot, out, values, order)`` of the side's column
+        index — the part :meth:`EntryIndex.stack` takes."""
+        tcol = side.col // nt
+        base = tile_slot_base(
+            np.bincount(tcol, minlength=ceil_div(side.shape[1], nt)) > 0,
+            nt)
+        return base, base[tcol] + side.col % nt, side.row, side.val, None
 
     @property
     def nnz(self) -> int:
@@ -129,6 +144,25 @@ class HybridTiledMatrix:
     @property
     def nnz(self) -> int:
         return self.tiled.nnz + self.side.nnz
+
+    def entry_index(self) -> EntryIndex:
+        """The column index of both parts, stacked — the tiled part
+        first, then the side (cached).  One match hands every output
+        row its tiled products and then its side products, the order
+        the two kernels fold them in; the tiling's
+        :meth:`~repro.tiles.tiled_matrix.TiledMatrix.column_entries` is
+        its first part, so every entry is stored once."""
+        cached = getattr(self, "_entry_index", None)
+        if cached is None:
+            if self.side.nnz:
+                cached = EntryIndex.stack(
+                    [self.tiled.column_part(),
+                     IndexedSideMatrix.part(self.side, self.nt)], self.nt)
+                self.tiled.share_column_entries(cached.part(0))
+            else:
+                cached = self.tiled.column_entries()
+            self._entry_index = cached
+        return cached
 
     @property
     def extracted_fraction(self) -> float:

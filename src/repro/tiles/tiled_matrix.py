@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .._util import ceil_div, concat_ranges, radix_argsort
+from .._util import ceil_div, concat_ranges, group_starts, radix_argsort
 from ..errors import TileError
 from ..formats.coo import COOMatrix
 from ..formats.csr import compress_indptr, expand_indptr
@@ -54,6 +54,13 @@ class EntryIndex:
     with the occupied tiles, not with the matrix width (a row-strip
     shard of a wide matrix touches few of its tile columns).
 
+    An index may hold several *parts* (:meth:`stack`), each with its
+    own slot range: the TileSpMSpV plan stacks the tiled part and the
+    COO side part, so one match gathers every tiled product and then
+    every side product — the order in which the two kernels fold into
+    ``y``.  :meth:`part` is one part as an index of its own, sharing
+    the stacked arrays.
+
     Output indices and values are copied into index order, so a match
     gathers contiguous ranges.
 
@@ -63,16 +70,18 @@ class EntryIndex:
         Tile size of the ``x`` tiling.
     slot_base:
         ``int64[n_x_tiles]`` — first slot of each ``x`` tile, ``-1``
-        when no entry reads that tile.
+        when no entry reads that tile; ``int64[n_parts, n_x_tiles]``
+        for a stacked index.
     slot_ptr:
-        ``int64[n_slots + 1]`` — entry range of each slot.
+        ``int64[n_slots + 1]`` — entry range of each slot (offset by
+        ``slot_ptr[0]``, which is non-zero for a part past the first).
     out:
         ``int64[nnz]`` — output index (global row) of each entry.
     vals:
         The entry values in index order.
     order:
         ``int64[nnz]`` — stored position of each entry: the stable sort
-        by slot that the index applied.
+        by slot that the index applied (per part in a stacked index).
     """
 
     nt: int
@@ -83,41 +92,100 @@ class EntryIndex:
     order: np.ndarray
 
     @classmethod
-    def build(cls, base: np.ndarray, slot: np.ndarray, out: np.ndarray,
-              values: np.ndarray, nt: int,
-              order: Optional[np.ndarray] = None) -> "EntryIndex":
-        """Index entries given each one's slot (``base`` from
-        :func:`tile_slot_base`), output index and value.  ``order`` is
+    def stack(cls, parts, nt: int) -> "EntryIndex":
+        """One index over ``parts``, each ``(base, slot, out, values,
+        order)``: every entry's slot (``base`` from
+        :func:`tile_slot_base`), output index and value, and ``order``
         the stable sort of ``slot`` when the caller already has it
-        (written with an mmap tiling); otherwise it is computed."""
-        n_slots = int((base >= 0).sum()) * nt
-        if order is None:
-            order = radix_argsort(slot)
-        ptr = np.zeros(n_slots + 1, dtype=np.int64)
-        np.cumsum(np.bincount(slot, minlength=n_slots), out=ptr[1:])
-        return cls(nt, base, ptr, out[order], values[order], order)
+        (written with an mmap tiling; ``None`` computes it).  Part
+        ``p``'s slots follow part ``p - 1``'s, and so do its entries; a
+        single part gives a one-dimensional :attr:`slot_base`."""
+        nnz = sum(len(part[1]) for part in parts)
+        dtype = np.result_type(*(part[3] for part in parts))
+        bases, ptrs = [], [np.zeros(1, dtype=np.int64)]
+        out = np.empty(nnz, dtype=np.int64)
+        vals = np.empty(nnz, dtype=dtype)
+        stacked = len(parts) > 1
+        order = np.empty(nnz, dtype=np.int64) if stacked else None
+        n_slots = lo = 0
+        for base, slot, p_out, p_vals, p_order in parts:
+            part_slots = int((base >= 0).sum()) * nt
+            bases.append(np.where(base >= 0, base + n_slots, -1))
+            ptrs.append(np.cumsum(np.bincount(slot, minlength=part_slots))
+                        + lo)
+            hi = lo + len(slot)
+            if p_order is None:
+                p_order = radix_argsort(slot)
+            if stacked:
+                order[lo:hi] = p_order
+            # each part's entries land straight in their slice of the
+            # stacked arrays ("clip" only skips the buffered copy
+            # "raise" makes: the order is a permutation)
+            np.take(p_out.astype(np.int64, copy=False), p_order,
+                    out=out[lo:hi], mode="clip")
+            np.take(p_vals.astype(dtype, copy=False), p_order,
+                    out=vals[lo:hi], mode="clip")
+            n_slots += part_slots
+            lo = hi
+        return cls(nt, np.stack(bases) if stacked else bases[0],
+                   np.concatenate(ptrs), out, vals,
+                   order if stacked else p_order)
+
+    def part(self, p: int) -> "EntryIndex":
+        """Part ``p`` of a stacked index as an index of its own.  Its
+        pointers, output indices, values and order are views of the
+        stacked arrays; only the slot bases are re-numbered."""
+        base = self.slot_base[p]
+        occupied = base >= 0
+        # parts own consecutive slot ranges, in part order
+        first = int((self.slot_base[:p] >= 0).sum()) * self.nt
+        ptr = self.slot_ptr[first:first + int(occupied.sum()) * self.nt + 1]
+        lo, hi = int(ptr[0]), int(ptr[-1])
+        return EntryIndex(self.nt, np.where(occupied, base - first, -1),
+                          ptr, self.out[lo:hi], self.vals[lo:hi],
+                          self.order[lo:hi])
 
     @property
     def nnz(self) -> int:
         return len(self.out)
 
+    def _ranges(self, cols: np.ndarray
+                ) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
+        """``(hit, lo, counts)``: which ``(part, col)`` pairs have a
+        slot (``None`` when all do), and the entry range of each such
+        slot, part by part."""
+        tiles = cols // self.nt
+        base = (self.slot_base[tiles] if self.slot_base.ndim == 1
+                else self.slot_base[:, tiles])
+        hit = base >= 0
+        slot = base + cols % self.nt
+        if hit.all():
+            hit, slot = None, slot.ravel()
+        else:
+            slot = slot[hit]
+        lo = self.slot_ptr[slot]
+        return hit, lo, self.slot_ptr[slot + 1] - lo
+
+    def n_matched(self, cols: np.ndarray) -> int:
+        """Number of entries reading one of ``cols`` (the entries
+        :meth:`match` gathers)."""
+        return int(self._ranges(cols)[2].sum())
+
     def match(self, cols: np.ndarray, xvals: np.ndarray
               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(out, vals, x)`` of every entry reading one of ``cols``
         (strictly ascending ``x`` indices with values ``xvals``), in
-        index order.  Cost is proportional to the matched entries."""
-        nt = self.nt
-        base = self.slot_base[cols // nt]
-        hit = base >= 0
-        if not hit.all():
-            cols, xvals, base = cols[hit], xvals[hit], base[hit]
-        slot = base + cols % nt
-        lo = self.slot_ptr[slot]
-        counts = self.slot_ptr[slot + 1] - lo
-        xv = np.repeat(xvals, counts)
+        index order — part by part in a stacked index.  Cost is
+        proportional to the matched entries."""
+        hit, lo, counts = self._ranges(cols)
+        if self.slot_base.ndim > 1:
+            xvals = np.broadcast_to(xvals, (len(self.slot_base), len(cols)))
+        xv = np.repeat(xvals.ravel() if hit is None else xvals[hit], counts)
         # every entry matched: the ranges tile the whole index
-        sel = (slice(None) if len(xv) == self.nnz
-               else concat_ranges(lo, counts))
+        if len(xv) == self.nnz:
+            return self.out, self.vals, xv
+        first = self.slot_ptr[0]     # non-zero in a part past the first
+        sel = concat_ranges(lo - first if first else lo, counts)
         return self.out[sel], self.vals[sel], xv
 
 
@@ -263,9 +331,10 @@ class TiledMatrix:
     def from_coo(cls, coo: COOMatrix, nt: int) -> "TiledMatrix":
         """Tile a COO matrix (duplicates summed).
 
-        Entries are bucketed by ``(tile_row, tile_col)`` and sorted
-        row-major inside each tile, all with vectorized sorts — the
-        format-conversion step whose cost Figure 11 measures.
+        Entries are bucketed by ``(tile_row, tile_col)`` and kept
+        row-major inside each tile by one stable radix permutation of
+        the canonical (row-major) input — the format-conversion step
+        whose cost Figure 11 measures.
         """
         if nt not in SUPPORTED_TILE_SIZES:
             raise TileError(
@@ -273,26 +342,24 @@ class TiledMatrix:
             )
         coo = coo.sum_duplicates()
         m, n = coo.shape
-        trow = coo.row // nt
-        tcol = coo.col // nt
-        lrow = (coo.row % nt).astype(np.uint8)
-        lcol = (coo.col % nt).astype(np.uint8)
-        order = np.lexsort((lcol, lrow, tcol, trow))
-        trow, tcol = trow[order], tcol[order]
-        lrow, lcol = lrow[order], lcol[order]
+        nc = ceil_div(n, nt)
+        tile_key = coo.row // nt
+        tile_key *= nc
+        tile_key += coo.col // nt
+        # the input is row-major with unique keys, so inside one tile
+        # its entries already run row-major: a stable sort by tile key
+        # (a radix pass, not a 4-key lexsort) is the whole reorder
+        order = radix_argsort(tile_key)
+        tile_key = tile_key[order]
+        lrow = (coo.row % nt).astype(np.uint8)[order]
+        lcol = (coo.col % nt).astype(np.uint8)[order]
         vals = coo.val[order]
 
-        nc = ceil_div(n, nt)
-        tile_key = trow * nc + tcol
-        from .._util import group_starts
-
         starts = group_starts(tile_key)
-        n_tiles = len(starts)
         tile_nnz_ptr = np.concatenate(
             [starts, [len(tile_key)]]).astype(np.int64)
-        tile_trow = trow[starts] if n_tiles else np.zeros(0, dtype=np.int64)
-        tile_colidx = tcol[starts] if n_tiles else np.zeros(0, dtype=np.int64)
-        tile_ptr = compress_indptr(tile_trow, ceil_div(m, nt))
+        tile_ptr = compress_indptr(tile_key[starts] // nc, ceil_div(m, nt))
+        tile_colidx = tile_key[starts] % nc
         return cls((m, n), nt, tile_ptr, tile_colidx, tile_nnz_ptr,
                    lrow, lcol, vals)
 
@@ -424,16 +491,28 @@ class TiledMatrix:
         row (cached) — what the row-tile kernel's host side reads.
 
         Built once per matrix (plan time for operators sharing an
-        :class:`~repro.runtime.OperatorPlan`); every multiply then
-        gathers only the entries whose ``x`` slot is set.
+        :class:`~repro.runtime.OperatorPlan`, where it is a part of the
+        plan's stacked index, :meth:`share_column_entries`); every
+        multiply then gathers only the entries whose ``x`` slot is set.
         """
         cached = getattr(self, "_column_entries", None)
         if cached is None:
-            cached = self._entry_index(
-                self.n_tile_cols, self.tile_colidx, self.local_col,
-                self.tile_rowidx(), self.local_row, self._column_order)
+            cached = EntryIndex.stack([self.column_part()], self.nt)
             self._column_entries = cached
         return cached
+
+    def column_part(self) -> tuple:
+        """``(base, slot, out, values, order)`` of :meth:`column_entries`
+        — the part :meth:`EntryIndex.stack` takes."""
+        return self._entry_part(self.n_tile_cols, self.tile_colidx,
+                                self.local_col, self.tile_rowidx(),
+                                self.local_row, self._column_order)
+
+    def share_column_entries(self, index: EntryIndex) -> None:
+        """Use ``index`` — a :meth:`EntryIndex.part` of a stacked index
+        holding this tiling's column entries — as :meth:`column_entries`,
+        so the entries are stored once."""
+        self._column_entries = index
 
     def column_order(self) -> np.ndarray:
         """:attr:`EntryIndex.order` of :meth:`column_entries` — the
@@ -454,24 +533,23 @@ class TiledMatrix:
         transposed tiling, whose rows are the ``x`` index."""
         cached = getattr(self, "_row_entries", None)
         if cached is None:
-            cached = self._entry_index(
+            cached = EntryIndex.stack([self._entry_part(
                 self.n_tile_rows, self.tile_rowidx(), self.local_row,
-                self.tile_colidx, self.local_col)
+                self.tile_colidx, self.local_col)], self.nt)
             self._row_entries = cached
         return cached
 
-    def _entry_index(self, n_key_tiles: int, key_tile: np.ndarray,
-                     key_local: np.ndarray, out_tile: np.ndarray,
-                     out_local: np.ndarray,
-                     order: Optional[np.ndarray] = None) -> EntryIndex:
-        """An :class:`EntryIndex` keyed by one axis (the stored tiles'
-        tile index and the entries' local index on it), output index
-        the other axis."""
+    def _entry_part(self, n_key_tiles: int, key_tile: np.ndarray,
+                    key_local: np.ndarray, out_tile: np.ndarray,
+                    out_local: np.ndarray,
+                    order: Optional[np.ndarray] = None) -> tuple:
+        """The :meth:`EntryIndex.stack` part keyed by one axis (the
+        stored tiles' tile index and the entries' local index on it),
+        output index the other axis."""
         base, slot = self._entry_slots(n_key_tiles, key_tile, key_local)
         out = ((out_tile * self.nt)[expand_indptr(self.tile_nnz_ptr)]
                + out_local)
-        return EntryIndex.build(base, slot, out, self.values, self.nt,
-                                order)
+        return base, slot, out, self.values, order
 
     def _entry_slots(self, n_key_tiles: int, key_tile: np.ndarray,
                      key_local: np.ndarray

@@ -44,6 +44,21 @@ class TiledVector:
 
     def __init__(self, n: int, nt: int, x_ptr: np.ndarray,
                  x_tile: np.ndarray, fill: float = 0.0):
+        self._assign(n, nt, x_ptr, x_tile, fill)
+        self.validate()
+
+    @classmethod
+    def _built(cls, n: int, nt: int, x_ptr: np.ndarray, x_tile: np.ndarray,
+               fill: float) -> "TiledVector":
+        """A vector from the constructors below, whose ``x_ptr`` numbers
+        the tiles they just kept ``0..k-1`` by construction: skips
+        :meth:`validate`."""
+        tv = cls.__new__(cls)
+        tv._assign(n, nt, x_ptr, x_tile, fill)
+        return tv
+
+    def _assign(self, n: int, nt: int, x_ptr: np.ndarray,
+                x_tile: np.ndarray, fill: float) -> None:
         if nt not in SUPPORTED_TILE_SIZES:
             raise TileError(
                 f"unsupported tile size {nt}; allowed: {SUPPORTED_TILE_SIZES}"
@@ -57,7 +72,6 @@ class TiledVector:
         self.fill = float(fill)
         self.x_ptr = np.ascontiguousarray(x_ptr, dtype=np.int64)
         self.x_tile = np.ascontiguousarray(x_tile)
-        self.validate()
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
@@ -113,7 +127,7 @@ class TiledVector:
         x_ptr = np.full(n_tiles, -1, dtype=np.int64)
         x_ptr[nonempty_mask] = np.arange(int(nonempty_mask.sum()))
         x_tile = tiles[nonempty_mask].reshape(-1).copy()
-        return cls(n, nt, x_ptr, x_tile, fill=fill)
+        return cls._built(n, nt, x_ptr, x_tile, fill)
 
     @classmethod
     def from_sparse(cls, indices: np.ndarray, values: np.ndarray, n: int,
@@ -139,8 +153,7 @@ class TiledVector:
         n_tiles = ceil_div(n, nt)
         x_ptr = np.full(n_tiles, -1, dtype=np.int64)
         if len(indices) == 0:
-            return cls(n, nt, x_ptr, np.zeros(0, dtype=dtype),
-                       fill=fill)
+            return cls._built(n, nt, x_ptr, np.zeros(0, dtype=dtype), fill)
         tile_ids = indices // nt
         unique_tiles = sorted_distinct(tile_ids)
         x_ptr[unique_tiles] = np.arange(len(unique_tiles))
@@ -148,7 +161,7 @@ class TiledVector:
         compact = x_ptr[tile_ids] * nt + indices % nt
         x_tile[compact] = 0  # reset sentinel before accumulating
         np.add.at(x_tile, compact, values.astype(dtype, copy=False))
-        return cls(n, nt, x_ptr, x_tile, fill=fill)
+        return cls._built(n, nt, x_ptr, x_tile, fill)
 
     @classmethod
     def empty(cls, n: int, nt: int) -> "TiledVector":

@@ -9,7 +9,7 @@ and the two convert both ways.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -56,10 +56,50 @@ class SparseVector:
                 if np.any(np.diff(self.indices) == 0):
                     raise ShapeError("duplicate indices in SparseVector")
 
+    @classmethod
+    def trusted(cls, n: int, indices: np.ndarray,
+                values: np.ndarray) -> "SparseVector":
+        """A vector from arrays its producer guarantees: ``int64``
+        strictly ascending indices in ``[0, n)`` and equally many
+        values, both contiguous.  Skips :meth:`__post_init__`'s checks
+        — for results the library just built, not for user input."""
+        sv = cls.__new__(cls)
+        sv.n, sv.indices, sv.values = n, indices, values
+        return sv
+
     # ------------------------------------------------------------------
     @property
     def nnz(self) -> int:
         return len(self.indices)
+
+    def support(self, semiring) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(indices, values)`` of the entries holding a value other
+        than ``semiring``'s additive identity, ascending — exactly
+        ``TiledVector.from_sparse(...).support(semiring)`` with the
+        semiring's dtype, without building the tiles: the values are
+        cast to ``semiring.dtype`` and added to zero, as the tiled
+        scatter does (so ``-0.0`` reads ``+0.0``).
+
+        Raises :class:`~repro.errors.ShapeError` on the input errors
+        ``from_sparse`` raises.  Returns ``None`` when the indices are
+        no longer a strictly ascending ``int64`` array (the vector was
+        changed after construction): the caller then tiles it.
+        """
+        idx = self.indices
+        if not (isinstance(idx, np.ndarray) and idx.dtype == np.int64
+                and idx.ndim == 1 and (idx[1:] > idx[:-1]).all()):
+            return None
+        values = np.asarray(self.values)
+        if len(idx) != len(values):
+            raise ShapeError("indices/values length mismatch")
+        if len(idx) and (idx[0] < 0 or idx[-1] >= self.n):
+            raise ShapeError(f"vector index out of range for length {self.n}")
+        dtype = np.dtype(semiring.dtype)
+        vals = values.astype(dtype, copy=False) + dtype.type(0)
+        keep = ~semiring.is_identity(vals)
+        if keep.all():
+            return idx, vals
+        return idx[keep], vals[keep]
 
     @property
     def sparsity(self) -> float:

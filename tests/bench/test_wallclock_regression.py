@@ -53,23 +53,23 @@ def test_known_sections_derived_from_baseline():
         "batched", "sharded"}
     committed["brand_new_workload"] = [{"speedup": 2.0}]
     current = report()
-    failures = check_regression(current, committed)
+    failures, _ = check_regression(current, committed)
     assert {"label": "section:brand_new_workload",
             "missing": True} in failures
 
 
 def test_no_regression_on_identical_reports():
-    assert check_regression(report(), report()) == []
+    assert check_regression(report(), report()) == ([], [])
 
 
 def test_small_wobble_passes():
     current = report(multiply_speedup=7.0)      # 0.7x of committed 10x
-    assert check_regression(current, report(), floor=0.6) == []
+    assert check_regression(current, report(), floor=0.6) == ([], [])
 
 
 def test_detects_drop_below_floor():
     current = report(kernel_speedup=2.0)        # 0.4x of committed 5x
-    failures = check_regression(current, report(), floor=0.6)
+    failures, _ = check_regression(current, report(), floor=0.6)
     assert [f["label"] for f in failures] == \
         ["bfs_kernels/push_csr@0.01/v0.025"]
     assert failures[0]["committed_speedup"] == 5.0
@@ -82,13 +82,13 @@ def test_labels_on_one_side_are_ignored():
     current["bfs_kernels"] = []                  # rows removed: ignored
     current["multiply"].append(                  # new row: ignored
         {"form": "csc", "density": 0.5, "speedup": 0.1})
-    assert check_regression(current, committed) == []
+    assert check_regression(current, committed) == ([], [])
 
 
 def test_floor_is_configurable():
     current = report(tilebfs=5.0)               # 5/6 ~ 0.83
-    assert check_regression(current, report(), floor=0.9) != []
-    assert check_regression(current, report(), floor=0.8) == []
+    assert check_regression(current, report(), floor=0.9)[0] != []
+    assert check_regression(current, report(), floor=0.8) == ([], [])
 
 
 def test_missing_section_fails():
@@ -98,14 +98,14 @@ def test_missing_section_fails():
     committed = report()
     current = report()
     del current["batched"]
-    failures = check_regression(current, committed)
+    failures, _ = check_regression(current, committed)
     assert failures == [{"label": "section:batched", "missing": True}]
     # both sides missing the section: nothing to compare, no failure
     committed2 = report()
     del committed2["batched"]
-    assert check_regression(current, committed2) == []
+    assert check_regression(current, committed2) == ([], [])
     # a section only in the current report is fine (new workloads land)
-    assert check_regression(report(), committed2) == []
+    assert check_regression(report(), committed2) == ([], [])
 
 
 def test_empty_section_is_not_missing():
@@ -115,19 +115,21 @@ def test_empty_section_is_not_missing():
     committed = report()
     current = report()
     current["batched"] = []
-    assert check_regression(current, committed) == []
+    assert check_regression(current, committed) == ([], [])
 
 
 def test_noise_floor_skips_micro_rows():
     """Rows whose faster timed side is below the noise floor are timer
-    noise and must not flake the guard; rows without timings (synthetic
-    fixtures) are always compared."""
+    noise and must not flake the guard — they are reported as skipped;
+    rows without timings (synthetic fixtures) are always compared."""
     committed = report()
     committed["bfs_kernels"][0].update(ref_ms=0.20, new_ms=0.04)
     current = report(kernel_speedup=0.5)        # would fail the floor
     current["bfs_kernels"][0].update(ref_ms=0.02, new_ms=0.04)
-    assert check_regression(current, committed) == []
+    assert check_regression(current, committed) == (
+        [], ["bfs_kernels/push_csr@0.01/v0.025"])
     # same drop on a well-measured row still fails
     committed["bfs_kernels"][0].update(ref_ms=25.0, new_ms=5.0)
     current["bfs_kernels"][0].update(ref_ms=5.0, new_ms=10.0)
-    assert len(check_regression(current, committed)) == 1
+    failures, skipped = check_regression(current, committed)
+    assert len(failures) == 1 and skipped == []

@@ -23,6 +23,7 @@ from repro.core.tilebfs import TileBFS
 from repro.gpusim import Device
 from repro.runtime import ExecutionContext
 from repro.shards.engine import ShardedSpMSpV
+from repro.tiles.tiled_vector import TiledVector
 from repro.vectors.sparse_vector import SparseVector
 
 from ..conftest import random_coo, random_graph_coo
@@ -84,6 +85,37 @@ def test_multiply_builds_no_counters_when_off(monkeypatch):
     assert not calls, "counters built with no device attached"
     op_on.multiply(x)
     assert calls, "counters-on run must construct counters"
+
+
+def test_sparse_multiply_builds_no_tiled_vector_when_off(monkeypatch):
+    """A counters-off multiply of a SparseVector matches its support
+    directly: no TiledVector and no KernelCounters, in any form or on
+    the batched path."""
+    coo = random_coo(120, 120, density=0.05, seed=4)
+    xs = [sparse_x(120, 20, seed=s) for s in (1, 2)]
+    ops = [TileSpMSpV(coo, nt=16, mode=mode)
+           for mode in ("csr", "csc", "adaptive")]
+    batched = BatchedSpMSpV(coo, nt=16)
+    assert batched.hybrid.side.nnz, "the side pass must be exercised"
+    tiled = []
+    assign = TiledVector._assign  # every TiledVector build runs it
+
+    def counting_assign(self, *args):
+        tiled.append(args)
+        assign(self, *args)
+
+    monkeypatch.setattr(TiledVector, "_assign", counting_assign)
+    calls = counting(monkeypatch, spmspv_kernels, "KernelCounters")
+    for op in ops:
+        op.multiply(xs[0])
+        op.multiply(xs[1], output="dense")
+        op.multiply_batch(xs)
+    batched.multiply_batch(xs)
+    batched.multiply_batch(xs, output="dense")
+    assert not tiled, "TiledVector built for a counters-off multiply"
+    assert not calls, "counters built with no device attached"
+    TileSpMSpV(coo, nt=16, device=Device()).multiply(xs[0])
+    assert tiled and calls, "counters-on runs tile x and count"
 
 
 def run_family(coo, device):

@@ -156,9 +156,14 @@ class TestSpMSpVPlanReuse:
     def test_transposed_tiling_shared_between_operators(self):
         cache = PlanCache()
         coo = random_coo(64, 64, density=0.1, seed=5)
-        op1 = TileSpMSpV(coo, nt=16, mode="csc", plan_cache=cache)
+        op1 = TileSpMSpV(coo, nt=16, mode="csc", plan_cache=cache,
+                         device=Device(RTX3090))
         op2 = TileSpMSpV(coo, nt=16, mode="csc", plan_cache=cache)
         x = random_sparse_vector(64, 0.05)
+        # the CSC form's host product is the CSR form's: only its
+        # counters read A^T, so a counters-off multiply never builds it
+        op2.multiply(x)
+        assert op2._transposed_tiled is None
         op1.multiply(x)
         assert op1._transposed_tiled is not None
         # the lazily built A^T tiling lives on the shared plan

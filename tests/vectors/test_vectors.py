@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ShapeError
+from repro.semiring import MAX_TIMES, MIN_PLUS, OR_AND, PLUS_TIMES
+from repro.tiles import TiledVector
 from repro.vectors import (PAPER_SEED, PAPER_SPARSITIES, SparseVector,
                            frontier_vector, random_sparse_vector)
 
@@ -65,6 +67,54 @@ class TestSparseVector:
         sv = SparseVector(4, np.array([2]), np.array([5.0]))
         idx, vals = sv.as_pair()
         assert idx.tolist() == [2] and vals.tolist() == [5.0]
+
+
+class TestSupport:
+    """``SparseVector.support`` is the support ``from_sparse`` tiles,
+    without the tiles."""
+
+    @pytest.mark.parametrize("semiring", [PLUS_TIMES, MIN_PLUS, MAX_TIMES,
+                                          OR_AND], ids=lambda s: s.name)
+    def test_equals_tiled_support(self, semiring):
+        r = np.random.default_rng(3)
+        idx = np.sort(r.choice(500, 120, replace=False))
+        if semiring is OR_AND:
+            vals = r.integers(0, 1 << 20, len(idx))
+            vals[::5] = 0
+        else:
+            vals = r.standard_normal(len(idx))
+            vals[::7] = semiring.add_identity
+            vals[1::7] = -0.0
+            vals[2::7] = np.inf
+            vals[3::7] = -np.inf
+            vals[4::7] = np.nan
+        x = SparseVector(500, idx, vals)
+        want = TiledVector.from_sparse(idx, vals, 500, 16,
+                                       fill=float(semiring.add_identity),
+                                       dtype=semiring.dtype).support(semiring)
+        got = x.support(semiring)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_negative_zero_reads_positive(self):
+        x = SparseVector(4, np.array([1, 2]), np.array([-0.0, 1.0]))
+        cols, vals = x.support(MIN_PLUS)
+        assert cols.tolist() == [1, 2]
+        assert not np.signbit(vals).any()
+
+    def test_changed_vector(self):
+        """A vector changed after construction: out-of-range or
+        mismatched arrays raise what ``from_sparse`` raises, and
+        unsorted indices leave the support to the tiled route."""
+        x = SparseVector(10, np.array([1, 4]), np.array([1.0, 2.0]))
+        x.indices = np.array([4, 1])
+        assert x.support(PLUS_TIMES) is None
+        x.indices = np.array([1, 12])
+        with pytest.raises(ShapeError):
+            x.support(PLUS_TIMES)
+        x.indices = np.array([1, 4, 5])
+        with pytest.raises(ShapeError):
+            x.support(PLUS_TIMES)
 
 
 class TestRandomSparseVector:
