@@ -3,9 +3,9 @@
 
 Times ``TileSpMSpV.multiply`` and the production kernels against the
 preserved O(nnz) seed oracles at swept frontier densities (multiply in
-CSR / CSC / batched form, plus an end-to-end BFS) and writes the
-measurements to ``BENCH_wallclock.json`` — the perf trajectory future
-PRs append to.
+CSR / CSC form, the fused TileBFS layer kernels, plus end-to-end
+TileBFS and MS-BFS) and writes the measurements to
+``BENCH_wallclock.json`` — the perf trajectory future PRs append to.
 
 Usage::
 
@@ -62,18 +62,15 @@ def main(argv=None) -> int:
               f"{r['active_col_fraction']:>9.4f} {r['loops']:>6} "
               f"{r['ref_ms']:>9.3f} {r['new_ms']:>9.3f} "
               f"{r['speedup']:>7.1f}x")
-    b = result["bfs"]
-    print(f"{'bfs':>8} {'-':>9} {'-':>9} {b['ref_ms']:>9.3f} "
-          f"{b['new_ms']:>9.3f} {b['speedup']:>7.1f}x "
-          f"({b['iterations']} iterations, {b['reached']} reached)")
 
-    print("TileBFS kernels (forced):")
-    print(f"{'kernel':>10} {'density':>9} {'visited':>9} "
+    print("TileBFS fused layer kernels (forced) vs seed kernels:")
+    print(f"{'kernel':>10} {'density':>9} {'visited':>9} {'loops':>6} "
           f"{'ref ms':>9} {'new ms':>9} {'speedup':>8}")
     for r in result["bfs_kernels"]:
         print(f"{r['kernel']:>10} {r['density']:>9g} "
-              f"{r['visited_fraction']:>9g} {r['ref_ms']:>9.3f} "
-              f"{r['new_ms']:>9.3f} {r['speedup']:>7.1f}x")
+              f"{r['visited_fraction']:>9g} {r['loops']:>6} "
+              f"{r['ref_ms']:>9.3f} {r['new_ms']:>9.3f} "
+              f"{r['speedup']:>7.1f}x")
     t = result["tilebfs"]
     print(f"{'tilebfs':>10} end-to-end (nt={t['nt']}): "
           f"{t['ref_ms']:.3f} -> {t['new_ms']:.3f} ms "
@@ -83,13 +80,6 @@ def main(argv=None) -> int:
     print(f"{'msbfs':>10} end-to-end ({s['sources']} sources): "
           f"{s['ref_ms']:.3f} -> {s['new_ms']:.3f} ms "
           f"= {s['speedup']:.1f}x")
-    print("Batched engine (coalesced union launch vs looped singles):")
-    print(f"{'batch':>6} {'density':>9} {'loop ms':>9} {'batch ms':>9} "
-          f"{'speedup':>8} {'bytes':>7}")
-    for r in result["batched"]:
-        print(f"{r['batch']:>6} {r['density']:>9g} {r['ref_ms']:>9.3f} "
-              f"{r['new_ms']:>9.3f} {r['speedup']:>7.1f}x "
-              f"{r['bytes_ratio']:>6.2f}x")
     print("SpMM dense-block kernels (merge-path vs row-per-warp):")
     print(f"{'B':>6} {'density':>9} {'rw ms':>9} {'mp ms':>9} "
           f"{'speedup':>8} {'bytes':>7}")

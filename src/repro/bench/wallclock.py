@@ -8,7 +8,9 @@ seed oracles (:mod:`repro.core.reference_kernels`) on identical inputs,
 so the recorded speedup is exactly the host-side win of gathering the
 entries whose x slot is set instead of masking all ``nnz`` entries.
 The ``multiply`` rows time :meth:`~repro.core.TileSpMSpV.multiply`
-itself (counters off) against the seed kernel of its form, each sample
+itself (counters off) against the seed kernel of its form, and the
+``bfs_kernels`` rows each fused TileBFS layer kernel against its seed
+kernel (:mod:`repro.core.reference_bfs_kernels`); each sample of both is
 a loop of ``loops`` calls long enough to clear :data:`NOISE_FLOOR_MS`.
 
 ``benchmarks/bench_wallclock.py`` is the CLI wrapper; it writes the
@@ -30,8 +32,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.bfs_kernels import (pull_csc_kernel, push_csc_kernel,
-                                push_csr_kernel)
 from ..core.msbfs import MultiSourceBFS
 from ..core.reference_bfs_kernels import (reference_msbfs_expand,
                                           reference_pull_csc_kernel,
@@ -42,9 +42,12 @@ from ..core.reference_kernels import (reference_csc_tiled_kernel,
 from ..core.spmm_kernels import (spmm_merge_path_kernel,
                                  spmm_row_warp_kernel)
 from ..core.spmspv import TileSpMSpV
-from ..core.spmspv_kernels import batched_union_kernel, tiled_kernel
+from ..core.spmspv_kernels import tiled_kernel
 from ..core.tilebfs import TileBFS
 from ..fastpath import fastpath_tier
+from ..fastpath.fused_bfs import bfs_layout
+from ..fastpath.fused_layers import (fused_pull_csc, fused_push_csc,
+                                     fused_push_csr)
 from ..gpusim import KernelCounters
 from ..matrices.generators import rmat
 from ..shards.engine import ShardedSpMSpV
@@ -93,28 +96,6 @@ def _frontier(n: int, density: float, nt: int,
     return TiledVector.from_sparse(idx, 1.0 + rng.random(k), n, nt)
 
 
-def _bfs_wallclock(A: TiledMatrix, kernel, source: int,
-                   max_depth: int = 64) -> Dict[str, float]:
-    """Level-synchronous BFS driven by one SpMSpV kernel per layer —
-    the paper's flagship workload, timed end to end on the host."""
-    n = A.shape[0]
-    t0 = time.perf_counter()
-    visited = np.zeros(n, dtype=bool)
-    visited[source] = True
-    frontier = np.array([source], dtype=np.int64)
-    depth = 0
-    while len(frontier) and depth < max_depth:
-        xt = TiledVector.from_sparse(frontier,
-                                     np.ones(len(frontier)), n, A.nt)
-        y, _ = kernel(A, xt)
-        frontier = np.flatnonzero((y != 0.0) & ~visited)
-        visited[frontier] = True
-        depth += 1
-    return {"ms": (time.perf_counter() - t0) * 1e3,
-            "iterations": depth,
-            "reached": int(visited.sum())}
-
-
 def _bitmask_frontier(n: int, density: float, nt: int,
                       rng: np.random.Generator) -> BitVector:
     k = max(1, int(round(n * density)))
@@ -125,8 +106,17 @@ def _bitmask_frontier(n: int, density: float, nt: int,
 def _bfs_kernel_rows(bfs: TileBFS, densities: Sequence[float],
                      visited_fractions: Sequence[float], repeats: int,
                      rng: np.random.Generator, say) -> list:
-    """Per-kernel BFS breakdown: each directional kernel forced on
-    synthetic frontier / visited states, new vs oracle.
+    """Per-kernel BFS breakdown: each fused layer kernel of the plan's
+    :func:`~repro.fastpath.fused_bfs.bfs_layout`, forced on synthetic
+    frontier / visited states, against its seed kernel.
+
+    ``bfs`` must be side-free (``extract_threshold=0``): the NumPy
+    Push-CSR sweep folds extracted side edges in, and the seed kernels
+    know nothing of them, so only then do both sides compute the same
+    layer.  The fused side runs as the layer loop runs it — clear the
+    result, then one call on the frontier indices the previous layer
+    produced.  Samples are interleaved loops of ``loops`` calls
+    (:func:`_loop_ms`).
 
     K1/K2 sweep the frontier densities of the multiply section (with a
     visited set a little larger than the frontier, as mid-traversal);
@@ -134,6 +124,9 @@ def _bfs_kernel_rows(bfs: TileBFS, densities: Sequence[float],
     visited fractions instead.
     """
     n, nt = bfs.n, bfs.nt
+    layout = bfs_layout(bfs)
+    use_numba = fastpath_tier() == "numba"
+    y = BitVector.zeros(n, nt)
     rows = []
     cases = []
     for density in densities:
@@ -141,27 +134,37 @@ def _bfs_kernel_rows(bfs: TileBFS, densities: Sequence[float],
         cases.append(("push_csr", density, min(1.0, density * 2.5)))
     for vf in visited_fractions:
         cases.append(("pull_csc", 0.02, vf))
-    impls = {
-        "push_csc": (push_csc_kernel, reference_push_csc_kernel, "A1"),
-        "push_csr": (push_csr_kernel, reference_push_csr_kernel, "A2"),
-        "pull_csc": (pull_csc_kernel, reference_pull_csc_kernel, "A1"),
-    }
     for kernel, density, vf in cases:
-        new_fn, ref_fn, mat = impls[kernel]
-        A = getattr(bfs, mat)
         x = _bitmask_frontier(n, density, nt, rng)
         m = _bitmask_frontier(n, vf, nt, rng)
         m |= x                   # the frontier is always visited
+        frontier = x.to_indices()
+        layer = {
+            "push_csc": (lambda: fused_push_csc(layout, frontier, m, y,
+                                                use_numba),
+                         lambda: reference_push_csc_kernel(bfs.A1, x, m)),
+            "push_csr": (lambda: fused_push_csr(layout, frontier, x, m,
+                                                y, use_numba),
+                         lambda: reference_push_csr_kernel(bfs.A2, x, m)),
+            "pull_csc": (lambda: fused_pull_csc(layout, m, y, use_numba),
+                         lambda: reference_pull_csc_kernel(bfs.A1, x, m)),
+        }
+        fused, ref_fn = layer[kernel]
+
+        def new_fn():
+            y.clear()
+            fused()
+
         say(f"bfs kernel {kernel} density={density:g} visited={vf:g}")
-        y_new, _ = new_fn(A, x, m)
-        y_ref, _ = ref_fn(A, x, m)
-        assert np.array_equal(y_new.words, y_ref.words), kernel
-        new_ms = _best_ms(lambda: new_fn(A, x, m), repeats)
-        ref_ms = _best_ms(lambda: ref_fn(A, x, m), repeats)
+        new_fn()
+        assert np.array_equal(y.words, ref_fn()[0].words), kernel
+        loops, (new_ms, ref_ms) = _loop_ms((new_fn, ref_fn), repeats,
+                                           NOISE_FLOOR_MS)
         rows.append({
             "kernel": kernel,
             "density": density,
             "visited_fraction": vf,
+            "loops": loops,
             "ref_ms": ref_ms,
             "new_ms": new_ms,
             "speedup": ref_ms / new_ms if new_ms > 0 else float("inf"),
@@ -308,7 +311,10 @@ def run_wallclock(scale: int = 17, edge_factor: int = 16, nt: int = 16,
     repeats:
         Timing repetitions per measurement (best-of).
     batch:
-        Batch width for the batched kernel workload.
+        Frontiers drawn and discarded per density after each multiply
+        input, and the width of the retired batched section's draws —
+        kept so every section's inputs stay those of the committed
+        reports.
     smoke:
         Shrink everything for CI (a few seconds end to end).
 
@@ -316,7 +322,9 @@ def run_wallclock(scale: int = 17, edge_factor: int = 16, nt: int = 16,
     -------
     dict with ``meta``, per-density ``multiply`` rows (form, density,
     active column fraction, loops, reference/new ms of one loop,
-    speedup) and a ``bfs`` record — the JSON payload of
+    speedup), per-kernel ``bfs_kernels`` rows (the same fields, plus
+    the visited fraction), the ``tilebfs``, ``msbfs``, ``spmm``,
+    ``sharded`` and ``parallel`` sections — the JSON payload of
     ``BENCH_wallclock.json``.
     """
     if smoke:
@@ -378,13 +386,8 @@ def run_wallclock(scale: int = 17, edge_factor: int = 16, nt: int = 16,
                 "speedup": ref_ms / new_ms if new_ms > 0 else float("inf"),
             })
 
-    say("BFS sweep")
-    new_bfs = _bfs_wallclock(A, tiled_kernel, source=0)
-    ref_bfs = _bfs_wallclock(A, reference_tiled_kernel, source=0)
-    assert new_bfs["reached"] == ref_bfs["reached"]
-
     say("TileBFS (bitmask) per-kernel breakdown")
-    bfs_op = TileBFS(coo)
+    bfs_op = TileBFS(coo, extract_threshold=0)
     visited_fractions = (0.9, 0.98) if smoke else (0.5, 0.9, 0.98)
     kernel_rows = _bfs_kernel_rows(bfs_op, densities, visited_fractions,
                                    repeats, rng, say)
@@ -393,36 +396,12 @@ def run_wallclock(scale: int = 17, edge_factor: int = 16, nt: int = 16,
     tilebfs = _tilebfs_fresh(scale, edge_factor, seed, repeats)
     res = bfs_op.run(0)
 
-    say("batched engine: coalesced union launch vs looped singles")
-    batch_sizes = (batch,) if smoke else (batch, batch * 4)
-    batched_rows = []
-    for bsize in batch_sizes:
+    # advance the stream past the frontiers of the retired batched
+    # section, so the later sections keep their committed inputs
+    for bsize in ((batch,) if smoke else (batch, batch * 4)):
         for density in densities:
-            xs = [_frontier(n, density, nt, rng) for _ in range(bsize)]
-            say(f"batched b={bsize} density={density:g}")
-            Yb, cb = batched_union_kernel(A, xs)
-            loop_counters = []
-            for b, xt in enumerate(xs):
-                y, c = tiled_kernel(A, xt)
-                assert np.array_equal(Yb[b], y), "batched != looped"
-                loop_counters.append(c)
-            looped_bytes = KernelCounters.sum(loop_counters).global_bytes
-            new_ms = _best_ms(lambda: batched_union_kernel(A, xs),
-                              repeats)
-            ref_ms = _best_ms(
-                lambda: [tiled_kernel(A, xt) for xt in xs], repeats)
-            batched_rows.append({
-                "batch": bsize,
-                "density": density,
-                "ref_ms": ref_ms,
-                "new_ms": new_ms,
-                "speedup": ref_ms / new_ms if new_ms > 0
-                           else float("inf"),
-                "batched_bytes": cb.global_bytes,
-                "looped_bytes": looped_bytes,
-                "bytes_ratio": (cb.global_bytes / looped_bytes
-                                if looped_bytes > 0 else 1.0),
-            })
+            for _ in range(bsize):
+                _frontier(n, density, nt, rng)
 
     say("SpMM: merge-path vs row-per-warp over a dense block")
     spmm_batches = (8,) if smoke else (8, 32)
@@ -578,14 +557,6 @@ def run_wallclock(scale: int = 17, edge_factor: int = 16, nt: int = 16,
                          "mask-based kernels)",
         },
         "multiply": rows,
-        "bfs": {
-            "ref_ms": ref_bfs["ms"],
-            "new_ms": new_bfs["ms"],
-            "speedup": (ref_bfs["ms"] / new_bfs["ms"]
-                        if new_bfs["ms"] > 0 else float("inf")),
-            "iterations": new_bfs["iterations"],
-            "reached": new_bfs["reached"],
-        },
         "bfs_kernels": kernel_rows,
         "tilebfs": {
             "nt": bfs_op.nt,
@@ -603,7 +574,6 @@ def run_wallclock(scale: int = 17, edge_factor: int = 16, nt: int = 16,
             "speedup": (msbfs_ref / msbfs_new
                         if msbfs_new > 0 else float("inf")),
         },
-        "batched": batched_rows,
         "spmm": spmm_rows,
         "sharded": sharded_rows,
         "parallel": parallel_rows,
@@ -649,9 +619,6 @@ def _speedup_entries(report: Dict) -> Dict[str, tuple]:
         entries[(f"bfs_kernels/{row['kernel']}@{row['density']:g}"
                  f"/v{row['visited_fraction']:g}")] = \
             (row["speedup"], min_ms(row))
-    for row in report.get("batched", ()):
-        entries[f"batched/b{row['batch']}@{row['density']:g}"] = \
-            (row["speedup"], min_ms(row))
     for row in report.get("spmm", ()):
         entries[f"spmm/b{row['batch']}@{row['density']:g}"] = \
             (row["speedup"], min_ms(row))
@@ -664,7 +631,7 @@ def _speedup_entries(report: Dict) -> Dict[str, tuple]:
         # never waved through as timer noise
         entries[f"parallel/w{row['workers']}"] = \
             (row["speedup"], min_ms(row))
-    for section in ("bfs", "tilebfs", "msbfs"):
+    for section in ("tilebfs", "msbfs"):
         if section in report:
             entries[section] = (report[section]["speedup"],
                                 min_ms(report[section]))

@@ -12,8 +12,8 @@ Public entry points:
   hooks for Figure 9).
 """
 
-from .bfs_kernels import (expand_vertex_tiles, pull_csc_kernel,
-                          push_csc_kernel, push_csr_kernel)
+from .bfs_kernels import (expand_vertex_tiles, pull_csc_counters,
+                          push_csc_counters, push_csr_counters)
 from .selection import (PULL_CSC, PUSH_CSC, PUSH_CSR, SPMM_MERGE_PATH,
                         SPMM_ROW_WARP, KernelSelector, select_tile_size)
 from .reference_bfs_kernels import (reference_msbfs_expand,
@@ -49,7 +49,7 @@ __all__ = [
     "KernelSelector", "select_tile_size",
     "PUSH_CSC", "PUSH_CSR", "PULL_CSC",
     "SPMM_ROW_WARP", "SPMM_MERGE_PATH",
-    "push_csc_kernel", "push_csr_kernel", "pull_csc_kernel",
+    "push_csc_counters", "push_csr_counters", "pull_csc_counters",
     "expand_vertex_tiles", "msbfs_expand",
     "reference_push_csc_kernel", "reference_push_csr_kernel",
     "reference_pull_csc_kernel", "reference_msbfs_expand",

@@ -2,12 +2,14 @@
 
 The fused layer kernels compute no counters.  Each layer instead builds
 a zero-argument closure here over the layer's *inputs* (the frontier
-and mask words, plus two side-kernel integers the fused side traversal
-produces for free) that runs the counter-producing kernel of
-:mod:`repro.core.bfs_kernels` on them.  A counters-on run calls it at
-once on the live words; production mode captures snapshot copies
-(~16 KB each at scale 17) and defers it to
-:meth:`~repro.runtime.context.ExecutionContext.replay`.
+and visited vectors, plus two side-kernel integers the fused side
+traversal produces for free) that runs the counter function of
+:mod:`repro.core.bfs_kernels` on them.  Those functions read only the
+active side of the layer (frontier bits, active tiles, the early-exit
+unvisited scan), so no layer's result is computed twice.  A
+counters-on run calls the closure at once on the live vectors;
+production mode captures snapshot copies (~16 KB each at scale 17) and
+defers it to :meth:`~repro.runtime.context.ExecutionContext.replay`.
 
 Exactness is structural, not re-derived: the modeled counters are a
 pure function of the kernel inputs — the paper's cost model never
@@ -20,10 +22,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Tuple
 
-import numpy as np
-
-from ..core.bfs_kernels import (pull_csc_kernel, push_csc_kernel,
-                                push_csr_kernel)
+from ..core.bfs_kernels import (pull_csc_counters, push_csc_counters,
+                                push_csr_counters)
 from ..core.selection import PULL_CSC, PUSH_CSC, PUSH_CSR
 from ..gpusim import KernelCounters
 from ..tiles.bitmask import BitVector
@@ -48,30 +48,27 @@ def side_counters(side_nnz: int, n_src_active: int,
     return c
 
 
-def layer_counter_closure(op, kernel_name: str, x_words: np.ndarray,
-                          m_words: np.ndarray,
+def layer_counter_closure(op, kernel_name: str, x: BitVector,
+                          m: BitVector,
                           side_stats: Optional[Tuple[int, int]]
                           ) -> Callable[[], KernelCounters]:
     """A deferred computation of one fused BFS layer's merged counters.
 
-    ``x_words`` / ``m_words`` are this layer's inputs (the live words
-    when the closure is called at once, snapshot copies when it is
-    deferred — the live vectors ping-pong); ``side_stats`` is the
+    ``x`` / ``m`` are this layer's frontier and visited vectors (the
+    live ones when the closure is called at once, snapshot copies when
+    it is deferred — the live vectors ping-pong); ``side_stats`` is the
     ``(n_src_active, n_claimed)`` pair from :func:`fused_side`, or
     ``None`` when the plan has no extracted side edges.
     """
     A1, A2, side_nnz = op.A1, op.A2, op.side.nnz
-    n, nt = op.n, op.nt
 
     def compute() -> KernelCounters:
-        x = BitVector(n, nt, x_words)
-        m = BitVector(n, nt, m_words)
         if kernel_name == PUSH_CSC:
-            counters = push_csc_kernel(A1, x, m)[1]
+            counters = push_csc_counters(A1, x, m)
         elif kernel_name == PUSH_CSR:
-            counters = push_csr_kernel(A2, x, m)[1]
+            counters = push_csr_counters(A2, x, m)
         elif kernel_name == PULL_CSC:
-            counters = pull_csc_kernel(A1, x, m)[1]
+            counters = pull_csc_counters(A1, x, m)
         else:  # pragma: no cover - dispatch is exhaustive
             raise ValueError(f"unknown kernel {kernel_name!r}")
         if side_stats is not None:

@@ -9,17 +9,20 @@ fallback), runs the result-only fused kernel from
 and ORs the new vertices into the visited mask.
 
 Accounting is one branch per layer.  The layer's counters are a pure
-function of its inputs — the frontier and visited words plus the two
+function of its inputs — the frontier and visited vectors plus the two
 side-kernel integers :func:`fused_side` returns — so
 :func:`~repro.fastpath.counter_model.layer_counter_closure` computes
-them with the counter-producing kernels of
-:mod:`repro.core.bfs_kernels`:
+them with the counter functions of :mod:`repro.core.bfs_kernels`,
+which read only the layer's active side and build no result:
 
 * counters-on (``ctx.active``): the closure runs at once on the live
-  words, before the mask is updated, and the launch is priced inline;
+  vectors, before the mask is updated, and the launch is priced inline;
 * production mode: the closure is built on snapshot copies (the live
   vectors ping-pong) and deferred to the context's replay log;
 * functional (no device): nothing counter-related is built.
+
+Each layer's result is computed once, by the fused kernel, in every
+mode.
 """
 
 from __future__ import annotations
@@ -122,15 +125,14 @@ def run_fused(op, sources: Sequence[int],
             if active:
                 # x and m still hold this layer's inputs
                 counters = layer_counter_closure(
-                    op, kernel_name, x.words, m.words, side_stats)()
+                    op, kernel_name, x, m, side_stats)()
                 ms = ctx.launch(_LAUNCH_NAMES[kernel_name], counters,
                                 phase="iteration")
             elif accounting:
                 ctx.defer(
                     _LAUNCH_NAMES[kernel_name],
-                    layer_counter_closure(op, kernel_name,
-                                          x.words.copy(),
-                                          m.words.copy(), side_stats),
+                    layer_counter_closure(op, kernel_name, x.copy(),
+                                          m.copy(), side_stats),
                     phase="iteration")
 
             n_new = y.count()

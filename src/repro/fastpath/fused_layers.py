@@ -20,9 +20,11 @@ A1/A2 tilings themselves:
   with no per-layer frontier boolean and no visited-bool maintenance.
 
 The layer kernels here are the NumPy tier of the fused fast path;
-:mod:`repro.fastpath.numba_kernels` holds the compiled loop tier.  All
-of them are result-only and byte-identical to the reference kernels in
-:mod:`repro.core.bfs_kernels` — a layer's counters come from
+:mod:`repro.fastpath.numba_kernels` holds the compiled loop tier.  They
+are the only producers of TileBFS layer results: all of them are
+result-only and byte-identical to the seed kernels in
+:mod:`repro.core.reference_bfs_kernels`, and a layer's counters come
+from the counter functions of :mod:`repro.core.bfs_kernels` through
 :mod:`repro.fastpath.counter_model`.
 """
 
@@ -34,8 +36,7 @@ import numpy as np
 
 from .._util import (concat_ranges, gather_ranges, group_starts,
                      sorted_distinct)
-from ..core.bfs_kernels import (BIT_GATHER_FACTOR, PULL_WORD_COST_FACTOR,
-                                expand_vertex_tiles)
+from ..core.bfs_kernels import PULL_WORD_COST_FACTOR, expand_vertex_tiles
 from ..formats.csr import compress_indptr
 from ..tiles.bitmask import (BitTiledMatrix, BitVector, bit_positions,
                              bit_weight_vector, pack_hit_words,
@@ -46,6 +47,16 @@ __all__ = ["FusedBFSLayout", "fused_push_csc", "fused_push_csr",
            "fused_pull_csc", "fused_side"]
 
 _U64 = np.uint64
+
+#: Push-CSR regime switch of the compiled tier: the masked bit gather
+#: touches one stored word per (frontier bit, column tile) pair while
+#: ``nb.push_sweep`` ANDs all ``n_tiles * nt`` stored words; gathered
+#: elements cost about this factor more each (fancy indexing vs
+#: streaming), so gather wins while
+#: ``BIT_GATHER_FACTOR * n_bits <= n_tiles * nt``.  The NumPy tier
+#: streams a compressed sweep of the non-zero words only and always
+#: sweeps (:func:`fused_push_csr`).
+BIT_GATHER_FACTOR = 3
 
 #: Non-zero stored words per sweep chunk — sized so the chunk buffer
 #: plus the streamed value/index/bit slices fit in L2, which beats one
@@ -171,8 +182,8 @@ def fused_push_csr(layout: FusedBFSLayout, frontier: np.ndarray,
     sweep: Push-CSR is only selected for dense frontiers, and there
     streaming the non-zero words is as fast end to end as switching to
     the bit gather on the sparser layers (EXPERIMENTS.md).  The
-    compiled tier keeps the reference regime switch
-    (``BIT_GATHER_FACTOR``), since its sweep streams all
+    compiled tier switches to the masked bit gather by
+    :data:`BIT_GATHER_FACTOR`, since its sweep streams all
     ``n_tiles * nt`` stored words.
 
     Returns True when the layer's side edges were already applied — the
@@ -209,11 +220,12 @@ def fused_push_csr(layout: FusedBFSLayout, frontier: np.ndarray,
 
 def fused_pull_csc(layout: FusedBFSLayout, m: BitVector, y: BitVector,
                    use_numba: bool) -> None:
-    """Result-only K3 with the reference word/vertex regime switch.
+    """Result-only K3 with the word/vertex regime switch of
+    :func:`~repro.core.bfs_kernels.pull_csc_counters`.
 
-    Skips the reference kernel's first-hit/early-exit scan entirely —
-    that computation exists only for the modeled counters, which the
-    replay model recomputes on demand.
+    Skips the first-hit/early-exit scan entirely — that computation
+    exists only for the modeled counters, which the counter function
+    computes when a layer is priced.
     """
     A1 = layout.A1
     nt = layout.nt

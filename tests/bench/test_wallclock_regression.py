@@ -6,7 +6,7 @@ from repro.bench.wallclock import (_speedup_entries, check_regression,
 
 
 def report(multiply_speedup=10.0, kernel_speedup=5.0, tilebfs=6.0,
-           msbfs=1.0, batched=1.2, sharded=0.9):
+           msbfs=1.0, sharded=0.9):
     return {
         "multiply": [
             {"form": "csr", "density": 0.001,
@@ -16,12 +16,8 @@ def report(multiply_speedup=10.0, kernel_speedup=5.0, tilebfs=6.0,
             {"kernel": "push_csr", "density": 0.01,
              "visited_fraction": 0.025, "speedup": kernel_speedup},
         ],
-        "bfs": {"speedup": 1.1},
         "tilebfs": {"speedup": tilebfs},
         "msbfs": {"speedup": msbfs},
-        "batched": [
-            {"batch": 4, "density": 0.01, "speedup": batched},
-        ],
         "sharded": [
             {"n_shards": 4, "density": 0.01, "speedup": sharded,
              "shards_executed": 3, "shards_skipped": 1},
@@ -34,10 +30,8 @@ def test_speedup_entries_labels():
     assert entries == {
         "multiply/csr@0.001": 10.0,
         "bfs_kernels/push_csr@0.01/v0.025": 5.0,
-        "bfs": 1.1,
         "tilebfs": 6.0,
         "msbfs": 1.0,
-        "batched/b4@0.01": 1.2,
         "sharded/s4@0.01": 0.9,
     }
 
@@ -49,8 +43,7 @@ def test_known_sections_derived_from_baseline():
     committed = report()
     committed["meta"] = {"smoke": True}
     assert set(known_sections(committed)) == {
-        "multiply", "bfs_kernels", "bfs", "tilebfs", "msbfs",
-        "batched", "sharded"}
+        "multiply", "bfs_kernels", "tilebfs", "msbfs", "sharded"}
     committed["brand_new_workload"] = [{"speedup": 2.0}]
     current = report()
     failures, _ = check_regression(current, committed)
@@ -97,12 +90,12 @@ def test_missing_section_fails():
     silently on reports that dropped a workload."""
     committed = report()
     current = report()
-    del current["batched"]
+    del current["sharded"]
     failures, _ = check_regression(current, committed)
-    assert failures == [{"label": "section:batched", "missing": True}]
+    assert failures == [{"label": "section:sharded", "missing": True}]
     # both sides missing the section: nothing to compare, no failure
     committed2 = report()
-    del committed2["batched"]
+    del committed2["sharded"]
     assert check_regression(current, committed2) == ([], [])
     # a section only in the current report is fine (new workloads land)
     assert check_regression(report(), committed2) == ([], [])
@@ -114,7 +107,7 @@ def test_empty_section_is_not_missing():
     section key trips the missing-section failure."""
     committed = report()
     current = report()
-    current["batched"] = []
+    current["sharded"] = []
     assert check_regression(current, committed) == ([], [])
 
 

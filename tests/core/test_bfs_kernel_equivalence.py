@@ -1,11 +1,13 @@
-"""Byte-identity of the active-tile BFS kernels against the seed oracles.
+"""Byte-identity of the BFS counter functions against the seed oracles.
 
-The frontier-proportional rewrite of :mod:`repro.core.bfs_kernels` must
-be a pure host-side optimisation: for every input, every kernel returns
-the same result **words** as the preserved seed implementation in
-:mod:`repro.core.reference_bfs_kernels` and **byte-identical hardware
-counters** — the modeled GPU always priced only the active side, so no
-counter may move and every simulated-ms trace (Fig. 10) stays frozen.
+The counter functions of :mod:`repro.core.bfs_kernels` compute only the
+modeled counters of a layer, from its active side: for every input,
+every one must return **byte-identical hardware counters** to the
+preserved seed kernel in :mod:`repro.core.reference_bfs_kernels` — the
+modeled GPU always priced only the active side, so no counter may move
+and every simulated-ms trace (Fig. 10) stays frozen.  (The result words
+are checked where they are produced, against the same oracles, in
+``tests/fastpath/test_fused_equivalence.py``.)
 """
 
 import dataclasses
@@ -13,23 +15,21 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import (bfs_kernels, msbfs_expand, pull_csc_kernel,
-                        push_csc_kernel, push_csr_kernel,
+from repro.core import (bfs_kernels, msbfs_expand, pull_csc_counters,
+                        push_csc_counters, push_csr_counters,
                         reference_msbfs_expand, reference_pull_csc_kernel,
                         reference_push_csc_kernel,
                         reference_push_csr_kernel)
 from repro.core.bfs_kernels import expand_vertex_tiles
 from repro.core.tilebfs import TileBFS
-from repro.errors import ShapeError
-from repro.formats import COOMatrix
 from repro.tiles import BitTiledMatrix, BitVector
 
 from ..conftest import random_coo, random_graph_coo
 
 KERNELS = {
-    "push_csc": (push_csc_kernel, reference_push_csc_kernel, "csc"),
-    "push_csr": (push_csr_kernel, reference_push_csr_kernel, "csr"),
-    "pull_csc": (pull_csc_kernel, reference_pull_csc_kernel, "csc"),
+    "push_csc": (push_csc_counters, reference_push_csc_kernel, "csc"),
+    "push_csr": (push_csr_counters, reference_push_csr_kernel, "csr"),
+    "pull_csc": (pull_csc_counters, reference_pull_csc_kernel, "csc"),
 }
 
 
@@ -39,14 +39,13 @@ def assert_counters_identical(new, ref):
     for f in dataclasses.fields(ref):
         a, b = getattr(new, f.name), getattr(ref, f.name)
         assert a == b and type(a) is type(b), (
-            f"counter {f.name}: active-tile {a!r} != reference {b!r}")
+            f"counter {f.name}: counter function {a!r} != reference {b!r}")
 
 
-def assert_identical(res_new, res_ref):
-    y_new, c_new = res_new
-    y_ref, c_ref = res_ref
-    assert np.array_equal(y_new.words, y_ref.words)
-    assert_counters_identical(c_new, c_ref)
+def assert_identical(counters, res_ref):
+    """The counter function's counters against the ``(y, counters)`` of
+    the seed kernel."""
+    assert_counters_identical(counters, res_ref[1])
 
 
 def graph(n, symmetric, seed):
@@ -104,47 +103,36 @@ def test_byte_identical_extraction(kernel, extract_threshold):
     assert_identical(new_fn(A, x, m), ref_fn(A, x, m))
 
 
-@pytest.mark.parametrize("factors", [(0, 0), (10**9, 10**9)])
+@pytest.mark.parametrize("factors", [
+    {"PULL_WORD_COST_FACTOR": 0, "scan": "_pull_scan_vertices"},
+    {"PULL_WORD_COST_FACTOR": 10**9, "scan": "_pull_scan_words"}])
 def test_byte_identical_forced_regimes(monkeypatch, factors):
-    """Both host regimes of Push-CSR (bit gather / streaming sweep) and
-    Pull-CSC (word level / vertex level) must be byte-identical, not
-    just whichever the cost rule picks."""
-    bg, pw = factors
-    monkeypatch.setattr(bfs_kernels, "BIT_GATHER_FACTOR", bg)
-    monkeypatch.setattr(bfs_kernels, "PULL_WORD_COST_FACTOR", pw)
+    """Both Pull-CSC scan regimes (vertex level / word level) must give
+    the seed's counters, not just whichever the cost rule picks; so
+    must Push-CSR, which has one path at every frontier density."""
+    monkeypatch.setattr(bfs_kernels, "PULL_WORD_COST_FACTOR",
+                        factors["PULL_WORD_COST_FACTOR"])
+    scans = []
+
+    def spy(name):
+        real = getattr(bfs_kernels, name)
+
+        def scan(*args):
+            scans.append(name)
+            return real(*args)
+        monkeypatch.setattr(bfs_kernels, name, scan)
+
+    spy("_pull_scan_vertices")
+    spy("_pull_scan_words")
     coo = random_graph_coo(180, avg_degree=6.0, seed=5)
     a1, a2 = tiled_pair(coo, 16, symmetric=True)
     for fd in (0.01, 0.3, 0.9):
         x, m = vectors(180, 16, fd, seed=int(fd * 1000))
-        assert_identical(push_csr_kernel(a2, x, m),
+        assert_identical(push_csr_counters(a2, x, m),
                          reference_push_csr_kernel(a2, x, m))
-        assert_identical(pull_csc_kernel(a1, x, m),
+        assert_identical(pull_csc_counters(a1, x, m),
                          reference_pull_csc_kernel(a1, x, m))
-
-
-def test_workspace_reuse_is_clean():
-    """Passing a dirty ``out=`` workspace must not leak stale bits."""
-    coo = random_graph_coo(120, avg_degree=4.0, seed=2)
-    a1, a2 = tiled_pair(coo, 16, symmetric=True)
-    x, m = vectors(120, 16, 0.1, seed=4)
-    rng = np.random.default_rng(0)
-    for new_fn, ref_fn, orient in KERNELS.values():
-        A = a1 if orient == "csc" else a2
-        ws = BitVector.from_indices(
-            rng.choice(120, size=60, replace=False), 120, 16)
-        y_ws, c_ws = new_fn(A, x, m, out=ws)
-        assert y_ws is ws
-        assert_identical((y_ws, c_ws), ref_fn(A, x, m))
-
-
-def test_workspace_shape_mismatch_raises():
-    coo = random_graph_coo(64, avg_degree=4.0, seed=1)
-    a1, _ = tiled_pair(coo, 16, symmetric=True)
-    x, m = vectors(64, 16, 0.1, seed=1)
-    with pytest.raises(ShapeError):
-        push_csc_kernel(a1, x, m, out=BitVector.zeros(64, 32))
-    with pytest.raises(ShapeError):
-        push_csc_kernel(a1, x, m, out=BitVector.zeros(80, 16))
+    assert set(scans) == {factors["scan"]}
 
 
 def test_empty_frontier_and_saturated_mask():

@@ -10,19 +10,24 @@ directly by monkeypatching the construction sites.
 
 import numpy as np
 
+import repro.core.bfs_kernels as bfs_kernels
 import repro.core.spmm_kernels as spmm_kernels
 import repro.core.spmspv_kernels as spmspv_kernels
 import repro.fastpath.fused_bfs as fused_bfs
+import repro.fastpath.fused_layers as fused_layers
 import repro.shards.engine as shards_engine
 from repro.core.batched import BatchedSpMSpV
 from repro.core.spmm import TileSpMM
 from repro.core.spmspv import TileSpMSpV
 from repro.core.spmspv_kernels import (coo_side_kernel, csc_tiled_kernel,
                                        tiled_kernel)
+from repro.core.selection import (PULL_CSC, PUSH_CSC, PUSH_CSR,
+                                  KernelSelector)
 from repro.core.tilebfs import TileBFS
 from repro.gpusim import Device
 from repro.runtime import ExecutionContext
 from repro.shards.engine import ShardedSpMSpV
+from repro.tiles.bitmask import BitVector
 from repro.tiles.tiled_vector import TiledVector
 from repro.vectors.sparse_vector import SparseVector
 
@@ -179,6 +184,30 @@ def test_fused_bfs_defers_closures_only_in_production(monkeypatch):
     got = op.run(0)
     assert len(calls) == len(got.iterations)
     assert np.array_equal(got.levels, res.levels)
+
+
+def test_counters_on_bfs_builds_no_result_vector(monkeypatch):
+    """A counters-on traversal prices each layer from its inputs: once
+    the plan is warm (its scratch vectors pooled), no layer allocates a
+    BitVector — the counters build no result of their own — whichever
+    kernel and Pull-CSC regime runs."""
+    monkeypatch.setenv("REPRO_FASTPATH", "numpy")
+    coo = random_graph_coo(150, avg_degree=4.0, seed=5)
+    for factor in (0, 10**9):           # vertex- / word-level Pull-CSC
+        monkeypatch.setattr(bfs_kernels, "PULL_WORD_COST_FACTOR", factor)
+        monkeypatch.setattr(fused_layers, "PULL_WORD_COST_FACTOR", factor)
+        for forced in (None, PUSH_CSC, PUSH_CSR, PULL_CSC):
+            dev = Device()
+            op = TileBFS(coo, nt=16, device=dev,
+                         selector=KernelSelector(forced=forced))
+            want = op.run(0)                        # warms the plan
+            n_launches = len(dev.timeline)
+            with monkeypatch.context() as m:
+                built = counting(m, BitVector, "zeros")
+                got = op.run(0)
+            assert not built, f"BitVector allocated on a {forced} layer"
+            assert np.array_equal(got.levels, want.levels)
+            assert len(dev.timeline) == 2 * n_launches
 
 
 def test_shard_tags_not_built_when_off(monkeypatch, tmp_path):

@@ -4,18 +4,20 @@ For every graph, tile size, frontier density, kernel, and regime, a
 TileBFS traversal must return the same levels and the same per-layer
 trace (kernel selection, frontier sizes, newly claimed vertices) as the
 seed layer loop over the oracle kernels (``seed_tilebfs``) — and each
-fused layer kernel must produce the exact result words of its
-reference kernel.  The grid runs under every kernel implementation
-present (the vectorized NumPy fallback always; the Numba loops when the
-``fastpath`` extra is installed).
+fused layer kernel must produce the exact result words of its seed
+kernel in :mod:`repro.core.reference_bfs_kernels`.  The grid runs
+under every kernel implementation present (the vectorized NumPy
+fallback always; the Numba loops when the ``fastpath`` extra is
+installed).
 """
 
 import numpy as np
 import pytest
 
 from repro.core import bfs_kernels
-from repro.core.bfs_kernels import (pull_csc_kernel, push_csc_kernel,
-                                    push_csr_kernel)
+from repro.core.reference_bfs_kernels import (reference_pull_csc_kernel,
+                                              reference_push_csc_kernel,
+                                              reference_push_csr_kernel)
 from repro.core.selection import (PULL_CSC, PUSH_CSC, PUSH_CSR,
                                   KernelSelector)
 from repro.core.tilebfs import TileBFS
@@ -85,8 +87,8 @@ def test_forced_regimes(monkeypatch, env_tier, factors):
     not just whichever the cost rule picks."""
     bg, pw = factors
     monkeypatch.setenv(FASTPATH_ENV, env_tier)
+    monkeypatch.setattr(fused_layers, "BIT_GATHER_FACTOR", bg)
     for mod in (bfs_kernels, fused_layers):
-        monkeypatch.setattr(mod, "BIT_GATHER_FACTOR", bg)
         monkeypatch.setattr(mod, "PULL_WORD_COST_FACTOR", pw)
     coo = graph(True, seed=5)
     assert_equivalent(coo, [0, 11], forced=PUSH_CSR)
@@ -113,8 +115,8 @@ def test_extraction_thresholds(monkeypatch, extract_threshold):
 
 
 # ----------------------------------------------------------------------
-# layer-kernel byte identity (side-free plans: the reference kernels
-# know nothing about extracted side edges)
+# layer-kernel byte identity (side-free plans: the seed kernels know
+# nothing about extracted side edges)
 # ----------------------------------------------------------------------
 def side_free_fixture(nt, seed=3):
     coo = random_graph_coo(210, avg_degree=5.0, seed=seed)
@@ -146,34 +148,36 @@ def test_layer_kernels_byte_identical(monkeypatch, env_tier, nt, fd):
 
     y = BitVector.zeros(op.n, nt)
     fused_push_csc(layout, fr, m, y, use_numba)
-    assert np.array_equal(y.words, push_csc_kernel(op.A1, x, m)[0].words)
+    assert np.array_equal(
+        y.words, reference_push_csc_kernel(op.A1, x, m)[0].words)
 
     y.clear()
     fused_push_csr(layout, fr, x, m, y, use_numba)
-    assert np.array_equal(y.words, push_csr_kernel(op.A2, x, m)[0].words)
+    assert np.array_equal(
+        y.words, reference_push_csr_kernel(op.A2, x, m)[0].words)
 
     y.clear()
     fused_pull_csc(layout, m, y, use_numba)
-    assert np.array_equal(y.words, pull_csc_kernel(op.A1, x, m)[0].words)
+    assert np.array_equal(
+        y.words, reference_pull_csc_kernel(op.A1, x, m)[0].words)
 
 
 @pytest.mark.parametrize("factors", [(0, 0), (10**9, 10**9)])
 def test_layer_kernels_forced_regimes(monkeypatch, factors):
     bg, pw = factors
-    for mod in (bfs_kernels, fused_layers):
-        monkeypatch.setattr(mod, "BIT_GATHER_FACTOR", bg)
-        monkeypatch.setattr(mod, "PULL_WORD_COST_FACTOR", pw)
+    monkeypatch.setattr(fused_layers, "BIT_GATHER_FACTOR", bg)
+    monkeypatch.setattr(fused_layers, "PULL_WORD_COST_FACTOR", pw)
     op, layout = side_free_fixture(16, seed=7)
     for fd in (0.02, 0.4):
         fr, x, m = vectors(op.n, 16, fd, seed=int(fd * 100))
         y = BitVector.zeros(op.n, 16)
         fused_push_csr(layout, fr, x, m, y, use_numba=False)
-        assert np.array_equal(y.words,
-                              push_csr_kernel(op.A2, x, m)[0].words)
+        assert np.array_equal(
+            y.words, reference_push_csr_kernel(op.A2, x, m)[0].words)
         y.clear()
         fused_pull_csc(layout, m, y, use_numba=False)
-        assert np.array_equal(y.words,
-                              pull_csc_kernel(op.A1, x, m)[0].words)
+        assert np.array_equal(
+            y.words, reference_pull_csc_kernel(op.A1, x, m)[0].words)
 
 
 @pytest.mark.parametrize("n, degree, nt, extract_threshold", [
@@ -197,7 +201,7 @@ def test_numpy_tier_sweeps_where_reference_gathers(n, degree, nt,
     cols = np.flatnonzero(x.words)
     counts = A1v.tile_ptr[cols + 1] - A1v.tile_ptr[cols]
     n_bits = int((counts * np.bitwise_count(x.words[cols])).sum())
-    assert (bfs_kernels.BIT_GATHER_FACTOR * n_bits
+    assert (fused_layers.BIT_GATHER_FACTOR * n_bits
             <= op.A2.n_nonempty_tiles * op.nt)
 
     # per-edge oracle of the side pass: every side edge leaving the
@@ -209,7 +213,7 @@ def test_numpy_tier_sweeps_where_reference_gathers(n, degree, nt,
 
     y = BitVector.zeros(op.n, nt)
     assert fused_push_csr(layout, fr, x, m, y, use_numba=False) is True
-    want = push_csr_kernel(op.A2, x, m)[0].words | side_words
+    want = reference_push_csr_kernel(op.A2, x, m)[0].words | side_words
     assert np.array_equal(y.words, want)
 
     y_side = BitVector.zeros(op.n, nt)

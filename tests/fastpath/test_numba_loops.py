@@ -11,9 +11,9 @@ what the Numba CI leg runs everywhere else).
 import numpy as np
 import pytest
 
-from repro.core import reference_msbfs_expand
-from repro.core.bfs_kernels import (pull_csc_kernel, push_csc_kernel,
-                                    push_csr_kernel)
+from repro.core import (reference_msbfs_expand, reference_pull_csc_kernel,
+                        reference_push_csc_kernel,
+                        reference_push_csr_kernel)
 from repro.core.tilebfs import TileBFS
 from repro.fastpath import numba_available
 from repro.fastpath import numba_kernels as nb
@@ -56,7 +56,8 @@ def test_push_gather_masked_loop(variant):
     kernel(variant, "push_gather_masked")(
         op.A1.tile_ptr, op.A1.tile_otheridx, op.A1.words, op.nt,
         fr, m.words, y.words)
-    assert np.array_equal(y.words, push_csc_kernel(op.A1, x, m)[0].words)
+    assert np.array_equal(
+        y.words, reference_push_csc_kernel(op.A1, x, m)[0].words)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -67,7 +68,8 @@ def test_push_sweep_loop(variant):
         op.A2.words, op.A2.tile_otheridx, op.A2.tile_majoridx(), op.nt,
         x.words, y.words)
     y.words &= ~m.words
-    assert np.array_equal(y.words, push_csr_kernel(op.A2, x, m)[0].words)
+    assert np.array_equal(
+        y.words, reference_push_csr_kernel(op.A2, x, m)[0].words)
 
     # the loop accumulates into y; the vectorized sweep assigns — both
     # must agree on a cleared result vector
@@ -85,7 +87,8 @@ def test_pull_columns_loop(variant):
     kernel(variant, "pull_columns")(
         op.A1.tile_ptr, op.A1.tile_otheridx, op.A1.words, op.nt,
         m.words, inv_words, y.words)
-    assert np.array_equal(y.words, pull_csc_kernel(op.A1, x, m)[0].words)
+    assert np.array_equal(
+        y.words, reference_pull_csc_kernel(op.A1, x, m)[0].words)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
