@@ -46,7 +46,7 @@ from .spmspv_kernels import (coo_side_counters, csc_tiled_counters,
                              matched_product, reduce_dense, reduce_sparse,
                              sparsify, tiled_counters, tiled_kernel)
 
-__all__ = ["TiledOperator", "TileSpMSpV", "tile_spmspv",
+__all__ = ["VectorInput", "TiledOperator", "TileSpMSpV", "tile_spmspv",
            "as_tiled_vector", "apply_output_mask", "spmspv_plan_key",
            "sparsify", "shape_output"]
 
@@ -110,7 +110,43 @@ def shape_output(y: Union[SparseVector, np.ndarray], output: str,
                                    dtype=semiring.dtype)
 
 
-class TiledOperator(ScopedOperator):
+class VectorInput:
+    """The input side of every SpMSpV operator: a vector's
+    :class:`TiledVector` and the support the host product matches.
+    Needs ``shape``, ``nt`` and ``semiring`` on the operator — the
+    tiled family here and the sharded engine in
+    :mod:`repro.shards.engine` share it."""
+
+    def _as_tiled_vector(self, x: VectorLike) -> TiledVector:
+        """:func:`as_tiled_vector` with this operator's tile size and
+        semiring."""
+        return as_tiled_vector(x, self.nt,
+                               float(self.semiring.add_identity),
+                               dtype=self.semiring.dtype)
+
+    def _input(self, x: VectorLike, tiled: bool
+               ) -> Tuple[Optional[TiledVector], Tuple[np.ndarray,
+                                                        np.ndarray]]:
+        """``(xt, support)`` of one input vector: its
+        :class:`TiledVector` — built only when ``tiled`` asks for it or
+        the input is not a :class:`SparseVector` (else ``None``) — and
+        its support, the ``(indices, values)`` the host product
+        matches.  Both routes run the same input checks."""
+        support = (x.support(self.semiring)
+                   if isinstance(x, SparseVector) and not tiled else None)
+        xt = None
+        if support is None:
+            xt = self._as_tiled_vector(x)
+        n = x.n if xt is None else xt.n
+        if n != self.shape[1]:
+            raise ShapeError(
+                f"SpMSpV shape mismatch: A is {self.shape}, "
+                f"x has length {n}"
+            )
+        return xt, support if xt is None else xt.support(self.semiring)
+
+
+class TiledOperator(VectorInput, ScopedOperator):
     """The prepared operator the tiled multiply family shares.
 
     Everything but the kernels: the tile-size check, the launch context
@@ -192,34 +228,6 @@ class TiledOperator(ScopedOperator):
         return self._prepared.nnz
 
     # ------------------------------------------------------------------
-    def _as_tiled_vector(self, x: VectorLike) -> TiledVector:
-        """:func:`as_tiled_vector` with this operator's tile size and
-        semiring."""
-        return as_tiled_vector(x, self.nt,
-                               float(self.semiring.add_identity),
-                               dtype=self.semiring.dtype)
-
-    def _input(self, x: VectorLike, tiled: bool
-               ) -> Tuple[Optional[TiledVector], Tuple[np.ndarray,
-                                                        np.ndarray]]:
-        """``(xt, support)`` of one input vector: its
-        :class:`TiledVector` — built only when ``tiled`` asks for it or
-        the input is not a :class:`SparseVector` (else ``None``) — and
-        its support, the ``(indices, values)`` the host product
-        matches.  Both routes run the same input checks."""
-        support = (x.support(self.semiring)
-                   if isinstance(x, SparseVector) and not tiled else None)
-        xt = None
-        if support is None:
-            xt = self._as_tiled_vector(x)
-        n = x.n if xt is None else xt.n
-        if n != self.shape[1]:
-            raise ShapeError(
-                f"SpMSpV shape mismatch: A is {self.shape}, "
-                f"x has length {n}"
-            )
-        return xt, support if xt is None else xt.support(self.semiring)
-
     def _account_side(self, name: str, xt: TiledVector,
                       cols: np.ndarray, tag: Optional[str],
                       phase: str) -> None:

@@ -5,9 +5,9 @@ Runs the row-strip shards of a
 a cost-model work scheduler places shards on workers
 (:mod:`repro.parallel.work`), a pool executor runs them with private
 resident-set slices and lookahead prefetch
-(:mod:`repro.parallel.executor`), and the engine merges results as
-they land — bit-identical to sequential execution, with the overlap
-priced honestly on a
+(:mod:`repro.parallel.executor`), and the engine assembles the landed
+results in shard order — bit-identical to sequential execution, with
+the overlap priced honestly on a
 :class:`~repro.gpusim.MultiDeviceTimeline`.
 
 The worker count is the only setting: ``REPRO_WORKERS=N`` or

@@ -20,9 +20,9 @@ store (:mod:`repro.parallel.config`):
   chunk results stream back as they complete.
 
 Whatever the backend, results are **bit-identical** to the sequential
-engine: row strips are disjoint, so the combine order cannot change a
-single output bit, and each shard's kernel runs on the same warmed
-tiling the sequential path would use.  The coordinator re-emits launch
+engine: row strips are disjoint and assembled in shard order, and each
+shard's product runs on the same warmed tiling the sequential path
+would use.  The coordinator re-emits launch
 records in ascending shard order, so the modeled timeline (and the
 production replay log) is deterministic too — only the ``device=`` /
 ``worker=`` tag parts say where a shard actually ran.
@@ -169,7 +169,7 @@ class WorkerSlice:
 # ----------------------------------------------------------------------
 # chunk execution (shared by every backend; runs where the slice lives)
 # ----------------------------------------------------------------------
-def _run_chunk(slc: WorkerSlice, sids, xts, batched: bool,
+def _run_chunk(slc: WorkerSlice, sids, xs, batched: bool,
                with_counters: bool,
                spmm_selector=None) -> List[ShardResult]:
     """Run one chunk's shards in order, with lookahead prefetch.
@@ -197,7 +197,7 @@ def _run_chunk(slc: WorkerSlice, sids, xts, batched: bool,
         # OS pid: launch tags must be deterministic run to run so
         # production replay and the parallel-invariance check can
         # compare them
-        results.append(execute_shard(slc, int(sid), xts, batched,
+        results.append(execute_shard(slc, int(sid), xs, batched,
                                      with_counters, spmm_selector,
                                      device=slc.wid,
                                      worker=str(slc.wid)))
@@ -259,9 +259,9 @@ def _process_slice(wid: int) -> WorkerSlice:
 
 def _process_chunk(task) -> Tuple[List[ShardResult], Tuple[int, int],
                                   Dict[str, int]]:
-    wid, sids, xts, batched, with_counters, spmm_selector = task
+    wid, sids, xs, batched, with_counters, spmm_selector = task
     slc = _process_slice(wid)
-    results = _run_chunk(slc, sids, xts, batched, with_counters,
+    results = _run_chunk(slc, sids, xs, batched, with_counters,
                          spmm_selector)
     # the real pid travels back in the snapshot key
     return results, (os.getpid(), wid), slc.stats()
@@ -281,10 +281,9 @@ class ParallelExecutor:
 
     Owns the worker slices (thread backend) or the process pools and
     their slice descriptor (process backend).  ``run()`` is a
-    generator yielding :class:`ShardResult` in **completion order** —
-    the coordinator merges each result into the output accumulator the
-    moment it lands (the asynchronous scatter-gather combine) and
-    re-orders only the *launch records*, never the data.
+    generator yielding :class:`ShardResult` in **completion order**;
+    the coordinator orders the landed results by shard id before it
+    assembles the output and re-emits the launch records.
     """
 
     def __init__(self, matrix, workers: int,
@@ -328,7 +327,7 @@ class ParallelExecutor:
                                     initargs=(self._payload,))
                            for _ in range(self.workers)]
 
-    def run(self, plan: WorkPlan, xts, batched: bool,
+    def run(self, plan: WorkPlan, xs, batched: bool,
             with_counters: bool,
             spmm_selector=None) -> Iterator[ShardResult]:
         """Execute the plan; yield results as they complete."""
@@ -337,7 +336,7 @@ class ParallelExecutor:
         if self.backend == "thread":
             from concurrent.futures import as_completed
             spawn = _shared_thread_pool().submit
-            futs = [spawn(_run_chunk, self.slices[c.worker], c.sids, xts,
+            futs = [spawn(_run_chunk, self.slices[c.worker], c.sids, xs,
                           batched, with_counters, spmm_selector)
                     for c in chunks]
             for fut in as_completed(futs):
@@ -348,7 +347,7 @@ class ParallelExecutor:
             self._ensure_pool()
             pending = [self._pools[c.worker].apply_async(
                            _process_chunk,
-                           ((c.worker, c.sids, xts, batched,
+                           ((c.worker, c.sids, xs, batched,
                              with_counters, spmm_selector),))
                        for c in chunks]
             while pending:

@@ -10,28 +10,40 @@ runs four modeled stages, all visible on the device timeline:
    faulted) — the load/evict byte traffic of the resident-set manager,
    tagged ``shard=<id>``;
 3. ``sharded_spmspv_shard`` (per executed shard) — Algorithm 4 over the
-   shard's own tiling via :func:`~repro.core.spmspv_kernels.tiled_kernel`,
-   plus the shard's metadata charge, tagged ``shard=<id>``;
+   shard's own tiling, priced by
+   :func:`~repro.core.spmspv_kernels.tiled_counters`, plus the shard's
+   metadata charge, tagged ``shard=<id>``;
 4. ``sharded_combine`` — the scatter-gather combiner merging the strip
-   outputs through :meth:`~repro.semiring.Semiring.scatter_merge`;
-   modeled bytes are exactly ``2 * itemsize * sum(executed strip
-   rows)`` (read every strip accumulator once, write it into the global
-   result once).  The shard-count-invariance check recomputes this
-   formula from the timeline tags and asserts equality.
+   outputs; modeled bytes are exactly ``2 * itemsize * sum(executed
+   strip rows)`` (read every strip accumulator once, write it into the
+   global result once).  The shard-count-invariance check recomputes
+   this formula from the timeline tags and asserts equality.
 
 ``multiply_batch`` and ``multiply_block`` run the same four stages
-with the union kernel (``sharded_spmspv_batch``) or the selector's SpMM
-kernel (``sharded_spmm_shard``): all three share one strip loop, and
-:func:`execute_shard` is the per-shard step the sequential loop and the
-pool workers both run.
+priced as the union kernel (``sharded_spmspv_batch``) or the selector's
+SpMM kernel (``sharded_spmm_shard``): all three share one strip loop,
+and :func:`execute_shard` is the per-shard step the sequential loop and
+the pool workers both run.
+
+On the host a strip runs what an in-core multiply runs (see
+:mod:`repro.core.spmspv_kernels`, "Matched-entry execution"): the
+support of ``x`` is matched once against the strip's column
+:class:`~repro.tiles.tiled_matrix.EntryIndex` and the products are
+reduced by row into the strip's sparse result — no strip-length
+accumulator unless the product is dense enough to want one.  A sparse
+input goes straight to its support; its :class:`TiledVector` is built
+only for the counters.  A shard stored on disk carries its entry index
+(:func:`~repro.tiles.io.save_tiled_mmap`), so a fault maps it instead
+of rebuilding it.
 
 Per-shard preprocessing (the warmed active-set accessors) is cached in
 the plan cache under ``("sharded-spmspv", matrix-id, shard-id)``; the
 entry is pinned while the shard's kernel is in flight and invalidated
 when the resident-set manager evicts the shard.
 
-Row strips are tile-row aligned, so each output row is produced by
-exactly one shard and the combiner merges disjoint ranges into an
+Row strips are tile-row aligned and ascending, so each output row is
+produced by exactly one shard: a sparse result is the strips' results
+concatenated in shard order, and a dense one assigns them into an
 identity-filled accumulator — which is why 1-shard and N-shard
 execution are bit-identical, not merely numerically close.
 
@@ -39,8 +51,8 @@ With more than one worker (``REPRO_WORKERS=N`` or ``parallel=N``) the
 per-shard stage runs on the worker-pool executor instead of the
 sequential loop: a cost-model work scheduler places shards on workers,
 each worker executes its chunk against its private resident-set
-slice, and the combiner merges results as they land.  Launch records
-are re-emitted in ascending shard order with
+slice, and the combiner assembles the landed results in shard
+order.  Launch records are re-emitted in ascending shard order with
 ``device=<id>;worker=<id>`` tag parts, so the timeline (and the
 production replay log) stays deterministic and bit-identical to
 sequential execution modulo those tag parts —
@@ -55,14 +67,20 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
+from .._util import group_starts, sorted_distinct
 from ..core.selection import SPMM_MERGE_PATH, KernelSelector
 from ..core.spmm import as_dense_block
 from ..core.spmm_kernels import (row_tile_imbalance, spmm_merge_path_kernel,
                                  spmm_row_warp_kernel)
-from ..core.spmspv import (VectorLike, _warm_active_set,
-                           apply_output_mask, as_tiled_vector,
-                           shape_output, sparsify)
-from ..core.spmspv_kernels import batched_union_kernel, tiled_kernel
+# the repository benchmark's per-layer timers patch as_tiled_vector
+# and tiled_kernel by this path
+from ..core.spmspv import as_tiled_vector  # noqa: F401
+from ..core.spmspv import (VectorInput, VectorLike, _warm_active_set,
+                           apply_output_mask, shape_output)
+from ..core.spmspv_kernels import tiled_kernel  # noqa: F401
+from ..core.spmspv_kernels import (batched_union_counters,
+                                   matched_product, reduce_sparse,
+                                   sparsify, tiled_counters)
 from ..errors import ShapeError
 from ..gpusim import Device, KernelCounters
 from ..runtime import (OperatorPlan, PlanCache, ScopedOperator,
@@ -131,9 +149,9 @@ def _shard_plan(key, tiled: TiledMatrix) -> OperatorPlan:
 class ShardResult:
     """One shard's finished work, as shipped back to the strip loop.
 
-    ``outs`` holds one ``(local_row_idx, values)`` pair per output
-    accumulator — already compressed to non-identity rows, so a process
-    backend pickles the strip's answer, not the strip.
+    ``outs`` holds one ``(local_row_idx, values)`` pair per output —
+    the strip's non-identity rows, ascending — so a process backend
+    pickles the strip's answer, not the strip.
     """
 
     sid: int
@@ -145,7 +163,7 @@ class ShardResult:
     evicted: int = 0
 
 
-def execute_shard(host, sid: int, xts, batched: bool, with_counters: bool,
+def execute_shard(host, sid: int, xs, batched: bool, with_counters: bool,
                   spmm_selector=None, device: int = 0,
                   worker: str = "") -> ShardResult:
     """Run one shard start to finish — the step the sequential strip
@@ -159,10 +177,13 @@ def execute_shard(host, sid: int, xts, batched: bool, with_counters: bool,
     evicted_bytes)`` with the shard resident and both shard and plan
     pinned; ``release_shard(sid, plan)`` unpins them.
 
-    The kernel: with ``spmm_selector`` the selector's SpMM kernel on the
-    shard's own row-tile imbalance (``xts`` holds one dense block);
-    with ``batched`` the union kernel over the batch; otherwise
-    Algorithm 4 on ``xts[0]``.
+    With ``spmm_selector``, ``xs`` holds one dense block and the
+    selector's SpMM kernel runs on the shard's own row-tile imbalance.
+    Otherwise ``xs`` holds one ``(xt, (cols, xvals))`` input per vector
+    (:meth:`~repro.core.spmspv.VectorInput._input`): every vector's
+    support is matched against the strip's column entry index and
+    reduced by row, and the counters — the union kernel's with
+    ``batched``, else Algorithm 4's — read the ``xt``.
     """
     sr = host.semiring
     plan, loaded, evicted = host.acquire_shard(sid)
@@ -171,37 +192,36 @@ def execute_shard(host, sid: int, xts, batched: bool, with_counters: bool,
         if host.pattern_only:
             A = plan.lazy_get(
                 "pattern", lambda: _pattern_view(plan.data["tiled"]))
+        counters = None
         if spmm_selector is not None:
             imb = plan.lazy_get("spmm_imbalance",
                                 lambda: row_tile_imbalance(A))
             fn = spmm_merge_path_kernel \
                 if spmm_selector.choose_spmm(imb) == SPMM_MERGE_PATH \
                 else spmm_row_warp_kernel
-            Y, counters = fn(A, xts[0], semiring=sr,
+            Y, counters = fn(A, xs[0], semiring=sr,
                              with_counters=with_counters)
-            Ys = [Y]
-        elif batched:
-            Ys, counters = batched_union_kernel(
-                A, xts, semiring=sr, with_counters=with_counters)
+            # ship whole non-identity rows
+            idx = np.flatnonzero((~sr.is_identity(Y)).any(axis=1))
+            outs = [(idx, Y[idx])]
         else:
-            y, counters = tiled_kernel(A, xts[0], semiring=sr,
-                                       with_counters=with_counters)
-            Ys = [y]
+            entries = A.column_entries()
+            outs = []
+            for _, (cols, xvals) in xs:
+                y = reduce_sparse(*matched_product(entries, cols, xvals, sr),
+                                  sr, A.shape[0])
+                outs.append((y.indices, y.values))
+            if with_counters:
+                xts = [xt for xt, _ in xs]
+                counters = (batched_union_counters(A, xts) if batched
+                            else tiled_counters(A, xts[0]))
     finally:
         host.release_shard(sid, plan)
-    outs = []
-    for y in Ys:
-        occupied = ~sr.is_identity(y)
-        if y.ndim == 2:
-            # SpMM strip: ship whole non-identity rows
-            occupied = occupied.any(axis=1)
-        idx = np.flatnonzero(occupied)
-        outs.append((idx, y[idx]))
     return ShardResult(sid=sid, device=device, worker=worker, outs=outs,
                        counters=counters, loaded=loaded, evicted=evicted)
 
 
-class ShardedSpMSpV(ScopedOperator):
+class ShardedSpMSpV(VectorInput, ScopedOperator):
     """SpMSpV over row-strip shards with out-of-core tile storage.
 
     Parameters
@@ -307,10 +327,28 @@ class ShardedSpMSpV(ScopedOperator):
         self.matrix.resident.unpin(sid)
         self.cache.unpin(plan.key)
 
-    def _as_tiled_vector(self, x: VectorLike) -> TiledVector:
-        return as_tiled_vector(x, self.matrix.nt,
-                               float(self.semiring.add_identity),
-                               dtype=self.semiring.dtype)
+    def _inputs(self, xs) -> Tuple[list, np.ndarray]:
+        """``(inputs, active_cols)`` of a multiply: every vector's
+        :meth:`_input` — its :class:`TiledVector` only when counting —
+        and the tile columns the scheduler sees active, unioned over
+        the vectors.  A tile column is active when the vector stores
+        an index in it, identity values included: for a sparse vector
+        the distinct ``indices // nt``, else ``x_ptr >= 0``."""
+        accounting = self.ctx.accounting
+        inputs, active = [], []
+        for x in xs:
+            xt, support = self._input(x, accounting)
+            if xt is None:
+                tiles = x.indices // self.nt
+                active.append(tiles[group_starts(tiles)])
+            else:
+                active.append(np.flatnonzero(xt.x_ptr >= 0))
+            inputs.append((xt, support))
+        if not inputs:
+            raise ShapeError("batched SpMSpV needs at least one vector")
+        cols = (active[0] if len(active) == 1
+                else sorted_distinct(np.concatenate(active)))
+        return inputs, cols
 
     # ------------------------------------------------------------------
     # parallel execution
@@ -355,24 +393,23 @@ class ShardedSpMSpV(ScopedOperator):
     # ------------------------------------------------------------------
     # the strip loop
     # ------------------------------------------------------------------
-    def _strip_loop(self, xts, active_cols: np.ndarray, targets, width: int,
+    def _strip_loop(self, xs, active_cols: np.ndarray, width: int,
                     batched: bool = False, spmm_selector=None,
-                    tag: Optional[str] = None) -> None:
-        """Schedule, execute, merge, combine — the skeleton of every
-        sharded multiply.
+                    tag: Optional[str] = None) -> List[ShardResult]:
+        """Schedule, execute, combine — the skeleton of every sharded
+        multiply.  Returns the executed shards' results in ascending
+        shard order.
 
-        ``targets`` holds one identity-filled accumulator per output
-        (a 2-D block accumulator for SpMM); ``width`` is the number of
-        output values per strip row, which scales the combiner's byte
-        formula.  With more than one worker the executed shards run on
-        the pool and merge the moment they land (row strips are
-        disjoint, so landing order cannot change a bit); their launch
-        records are re-emitted in ascending shard order with
-        ``device=`` / ``worker=`` tag parts, so the timeline is
-        deterministic and matches the sequential one modulo those
-        parts.  Counters stay inline even in production mode (the
-        launch defers the priced record): replaying them later would
-        have to re-fault evicted shards.
+        ``width`` is the number of output values per strip row, which
+        scales the combiner's byte formula.  With more than one worker
+        the executed shards run on the pool and are ordered by shard id
+        once they land (row strips are disjoint, so landing order
+        cannot change a bit); their launch records are re-emitted in
+        ascending shard order with ``device=`` / ``worker=`` tag parts,
+        so the timeline is deterministic and matches the sequential one
+        modulo those parts.  Counters stay inline even in production
+        mode (the launch defers the priced record): replaying them
+        later would have to re-fault evicted shards.
         """
         accounting = self.ctx.accounting
         executed = self.scheduler.schedule(active_cols)
@@ -386,33 +423,26 @@ class ShardedSpMSpV(ScopedOperator):
             name, phase = "sharded_spmspv_batch", "batch"
         else:
             name, phase = "sharded_spmspv_shard", "multiply"
-        if spmm_selector is None:
-            # each vector's support is found once here and cached on
-            # it, not once per strip (pool workers receive it with x)
-            for xt in xts:
-                xt.support(self.semiring)
         workers = self.parallel
         if workers > 1 and executed.size:
             self._ensure_parallel(workers)
             self._last_plan = self._work.plan(executed, active_cols)
-            landed = {}
-            for res in self._executor.run(self._last_plan, xts, batched,
-                                          with_counters=accounting,
-                                          spmm_selector=spmm_selector):
-                self._merge(targets, res)
-                landed[res.sid] = res
+            landed = {res.sid: res for res in self._executor.run(
+                self._last_plan, xs, batched, with_counters=accounting,
+                spmm_selector=spmm_selector)}
+            results = [landed[sid] for sid in sorted(landed)]
             if accounting:
-                for sid in sorted(landed):
-                    res = landed[sid]
+                for res in results:
                     self._emit_shard(
                         res, name, phase,
-                        f"{_shard_tag(sid, tag)};device={res.device}"
+                        f"{_shard_tag(res.sid, tag)};device={res.device}"
                         f";worker={res.worker}")
         else:
+            results = []
             for sid in executed:
-                res = execute_shard(self, int(sid), xts, batched,
+                res = execute_shard(self, int(sid), xs, batched,
                                     accounting, spmm_selector)
-                self._merge(targets, res)
+                results.append(res)
                 if accounting:
                     self._emit_shard(res, name, phase,
                                      _shard_tag(res.sid, tag))
@@ -422,20 +452,34 @@ class ShardedSpMSpV(ScopedOperator):
             self.ctx.launch(
                 "sharded_combine",
                 _combine_counters(merged_rows * width,
-                                  targets[0].dtype.itemsize),
+                                  np.dtype(self.semiring.dtype).itemsize),
                 tag=tag, phase="combine")
+        return results
 
-    def _merge(self, targets, res: ShardResult) -> None:
-        """Fold one shard's rows into the accumulators: scatter-merged
-        into vector accumulators, assigned as a row slab into a block
-        accumulator (every output row belongs to exactly one strip)."""
-        lo, _hi = self.matrix.strips[res.sid]
-        for target, (idx, vals) in zip(targets, res.outs):
-            if idx.size:
-                if vals.ndim == 2:
-                    target[idx + lo] = vals
-                else:
-                    self.semiring.scatter_merge(target, idx + lo, vals)
+    def _scatter(self, target: np.ndarray, results: List[ShardResult],
+                 j: int = 0) -> np.ndarray:
+        """Assign output ``j`` of every shard into the identity-filled
+        ``target`` — row by row into a vector, as a row slab into a
+        block (every output row belongs to exactly one strip)."""
+        for res in results:
+            idx, vals = res.outs[j]
+            target[idx + self.matrix.strips[res.sid][0]] = vals
+        return target
+
+    def _concat(self, results: List[ShardResult], j: int = 0
+                ) -> SparseVector:
+        """Output ``j`` as a sparse vector: the strips' rows offset to
+        global rows and concatenated — ascending, since the results
+        and their strips are."""
+        sr = self.semiring
+        idx = [np.zeros(0, dtype=np.int64)]
+        vals = [np.zeros(0, dtype=sr.dtype)]
+        for res in results:
+            r, v = res.outs[j]
+            idx.append(r + self.matrix.strips[res.sid][0])
+            vals.append(v)
+        return SparseVector.trusted(self.shape[0], np.concatenate(idx),
+                                    np.concatenate(vals))
 
     def _emit_shard(self, res: ShardResult, name: str, phase: str,
                     tag: str) -> None:
@@ -481,47 +525,37 @@ class ShardedSpMSpV(ScopedOperator):
         if output not in ("sparse", "tiled", "dense"):
             raise ShapeError(f"unknown output mode {output!r}")
         sr = self.semiring
-        m, n = self.matrix.shape
-        xt = self._as_tiled_vector(x)
-        if xt.n != n:
-            raise ShapeError(
-                f"SpMSpV shape mismatch: A is {self.matrix.shape}, "
-                f"x has length {xt.n}"
-            )
-        y = np.full(m, sr.add_identity, dtype=sr.dtype)
-        self._strip_loop([xt], np.flatnonzero(xt.x_ptr >= 0), [y], 1)
+        inputs, active_cols = self._inputs([x])
+        results = self._strip_loop(inputs, active_cols, 1)
+        if mask is None and output != "dense":
+            return shape_output(self._concat(results), output, sr,
+                                self.nt)
+        y = self._scatter(np.full(self.shape[0], sr.add_identity,
+                                  dtype=sr.dtype), results)
         if mask is not None:
             y = apply_output_mask(y, mask, mask_complement, sr, self.ctx)
-        return shape_output(y, output, sr, self.matrix.nt)
+        return shape_output(y, output, sr, self.nt)
 
     def multiply_batch(self, xs, output: str = "sparse",
                        tag: Optional[str] = None):
         """Batched multiply: one scheduling pass over the *union* of
-        the batch's active tile columns, one
-        :func:`~repro.core.spmspv_kernels.batched_union_kernel` launch
-        per executed shard, one combiner for the whole batch."""
+        the batch's active tile columns, one union-kernel launch
+        (:func:`~repro.core.spmspv_kernels.batched_union_counters`)
+        per executed shard, one combiner for the whole batch.  On the
+        host every vector runs the single-vector strip product."""
         if output not in ("sparse", "dense"):
             raise ShapeError(f"unknown output mode {output!r}")
         sr = self.semiring
-        m, n = self.matrix.shape
-        xts = [self._as_tiled_vector(x) for x in xs]
-        if not xts:
-            raise ShapeError("batched SpMSpV needs at least one vector")
-        for xt in xts:
-            if xt.n != n:
-                raise ShapeError(
-                    f"SpMSpV shape mismatch: A is {self.matrix.shape}, "
-                    f"x has length {xt.n}"
-                )
-        union_active = np.zeros(xts[0].x_ptr.shape[0], dtype=bool)
-        for xt in xts:
-            union_active |= xt.x_ptr >= 0
-        Y = np.full((len(xts), m), sr.add_identity, dtype=sr.dtype)
-        self._strip_loop(xts, np.flatnonzero(union_active), list(Y),
-                         len(xts), batched=True, tag=tag)
-        if output == "dense":
-            return Y
-        return [sparsify(y, sr) for y in Y]
+        inputs, active_cols = self._inputs(xs)
+        results = self._strip_loop(inputs, active_cols, len(inputs),
+                                   batched=True, tag=tag)
+        if output == "sparse":
+            return [self._concat(results, j) for j in range(len(inputs))]
+        Y = np.full((len(inputs), self.shape[0]), sr.add_identity,
+                    dtype=sr.dtype)
+        for j, y in enumerate(Y):
+            self._scatter(y, results, j)
+        return Y
 
     def multiply_block(self, X, output: str = "dense",
                        tag: Optional[str] = None, selector=None):
@@ -557,9 +591,10 @@ class ShardedSpMSpV(ScopedOperator):
             active = np.any(~np.isnan(tiles), axis=(1, 2))
         else:
             active = np.any(tiles != Xb.fill, axis=(1, 2))
-        Y = np.full((m, Xb.B), sr.add_identity, dtype=sr.dtype)
-        self._strip_loop([Xb], np.flatnonzero(active), [Y], Xb.B,
-                         spmm_selector=selector, tag=tag)
+        Y = self._scatter(
+            np.full((m, Xb.B), sr.add_identity, dtype=sr.dtype),
+            self._strip_loop([Xb], np.flatnonzero(active), Xb.B,
+                             spmm_selector=selector, tag=tag))
         if output == "dense":
             return Y
         return [sparsify(Y[:, j], sr) for j in range(Xb.B)]

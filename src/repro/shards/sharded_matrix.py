@@ -14,10 +14,10 @@ Strips are aligned to tile-row boundaries (``rows_per_shard`` is a
 multiple of ``nt``).  That alignment is what makes shard-count
 invariance *bit-exact*: every output row is computed entirely inside
 one shard, the per-tile-row entry order of
-:meth:`~repro.tiles.TiledMatrix.from_coo` is a function of the strip's
-own rows only, and the combiner merges disjoint row ranges — so 1-shard
-and N-shard execution run the identical sequence of floating-point
-operations per row.
+:meth:`~repro.tiles.TiledMatrix.from_canonical` is a function of the
+strip's own rows only, and the combiner merges disjoint row ranges — so
+1-shard and N-shard execution run the identical sequence of
+floating-point operations per row.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ class ShardedTiledMatrix:
         # sees already-summed entries, so every shard's value stream is
         # the canonical one regardless of how many strips there are.
         # The canonical entries are row-major, so each strip is one
-        # contiguous run of them.
+        # contiguous run of them, tiled without a second check.
         coo = to_coo(matrix).sum_duplicates()
         m, n = coo.shape
         tile_rows = max(1, -(-m // nt))
@@ -159,9 +159,9 @@ class ShardedTiledMatrix:
         bounds = np.searchsorted(coo.row, [lo for lo, _ in strips] + [m])
         for sid, (lo, hi) in enumerate(strips):
             run = slice(bounds[sid], bounds[sid + 1])
-            local = COOMatrix((hi - lo, n), coo.row[run] - lo,
-                              coo.col[run], coo.val[run])
-            tiled = TiledMatrix.from_coo(local, nt)
+            tiled = TiledMatrix.from_canonical(
+                (hi - lo, n), coo.row[run] - lo, coo.col[run],
+                coo.val[run], nt)
             dtype = tiled.values.dtype if dtype is None else dtype
             cols = sorted_distinct(tiled.tile_colidx).astype(np.int64)
             np.bitwise_or.at(occupancy[sid], cols // 64,

@@ -16,10 +16,11 @@ variant the sharded execution engine streams from: a *directory* with
 one raw ``.npy`` per format array plus a JSON manifest, loaded with
 ``np.load(mmap_mode="r")`` so a shard's payload pages in lazily on
 first kernel touch instead of at load time.  Beside the format arrays
-the directory holds the entries' column order (the sort behind
-:meth:`TiledMatrix.column_entries`), so a load — a shard fault — builds
-the kernels' entry index without sorting.  It is an execution index,
-not payload: the manifest's ``nbytes`` does not count it.
+the directory holds the tiling's column entry index
+(:meth:`TiledMatrix.column_entries`), so a load — a shard fault — maps
+the index the kernels match against instead of sorting and gathering
+it.  It is an execution index, not payload: the manifest's ``nbytes``
+does not count it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from ..errors import IOFormatError
 from ..formats.coo import COOMatrix
 from .bitmask import BitTiledMatrix
 from .extraction import HybridTiledMatrix
-from .tiled_matrix import TiledMatrix
+from .tiled_matrix import EntryIndex, TiledMatrix, tile_slot_base
 from .tiled_vector import TiledVector
 
 __all__ = ["save_tiled", "load_tiled", "save_tiled_mmap",
@@ -48,6 +49,11 @@ _TILED_ARRAYS = ("tile_ptr", "tile_colidx", "tile_nnz_ptr",
                  "local_row", "local_col", "values")
 #: The stored column order of the entries (optional on load).
 _COLUMN_ORDER = "column_order"
+#: The other stored arrays of the column entry index, file name by
+#: :class:`EntryIndex` field (optional on load; the slot bases are
+#: recomputed from ``tile_colidx``).
+_COLUMN_INDEX = {"slot_ptr": "column_slot_ptr", "out": "column_out",
+                 "vals": "column_vals"}
 PathLike = Union[str, Path]
 
 
@@ -164,12 +170,18 @@ def load_tiled(path: PathLike):
 def save_tiled_mmap(obj: TiledMatrix, path: PathLike) -> Path:
     """Write a :class:`TiledMatrix` as an mmap-loadable directory.
 
-    Layout: one raw (uncompressed) ``.npy`` per format array, one for
-    the entries' column order, and a ``manifest.json`` recording shape,
-    tile size, per-array dtypes and the total payload bytes (the
-    format arrays only).  Compression is deliberately absent —
+    Layout: one raw (uncompressed) ``.npy`` per format array; the
+    column entry index (:class:`EntryIndex`) as ``column_order``
+    (its ``order``), ``column_slot_ptr``, ``column_out`` and
+    ``column_vals``; and a ``manifest.json`` recording shape, tile
+    size, per-array dtypes and the total payload bytes (the format
+    arrays only).  Compression is deliberately absent —
     ``np.load(mmap_mode="r")`` needs the on-disk bytes to *be* the
     array so the OS page cache, not a decompressor, is the read path.
+
+    The index is built here and dropped with the call: ``obj`` caches
+    none, so writing a matrix shard by shard holds one strip's index
+    at a time.
     """
     if not isinstance(obj, TiledMatrix):
         raise IOFormatError(
@@ -181,7 +193,10 @@ def save_tiled_mmap(obj: TiledMatrix, path: PathLike) -> Path:
     arrays = {name: getattr(obj, name) for name in _TILED_ARRAYS}
     for name, arr in arrays.items():
         np.save(path / f"{name}.npy", arr)
-    np.save(path / f"{_COLUMN_ORDER}.npy", obj.column_order())
+    index = EntryIndex.stack([obj.column_part()], obj.nt)
+    np.save(path / f"{_COLUMN_ORDER}.npy", index.order)
+    for field, name in _COLUMN_INDEX.items():
+        np.save(path / f"{name}.npy", getattr(index, field))
     manifest = {
         "kind": "tiled_matrix",
         "version": _MMAP_VERSION,
@@ -228,6 +243,11 @@ def load_tiled_mmap(path: PathLike, mmap: bool = True,
     sharded matrix hold a working set far smaller than the file set.
     ``validate`` defaults to ``False`` for the same reason — the full
     structural validation reads every array end to end.
+
+    The stored column entry index is mapped the same way and handed to
+    the tiling (:meth:`TiledMatrix.share_column_entries`), so the load
+    neither sorts nor gathers; an index array of the wrong length or
+    dtype raises :class:`IOFormatError`.
     """
     path = Path(path)
     manifest = read_mmap_manifest(path)
@@ -243,15 +263,56 @@ def load_tiled_mmap(path: PathLike, mmap: bool = True,
                 f"records {want}"
             )
         arrays[name] = arr
-    # a directory written without the order still loads; its index
-    # sorts on first use
-    order_path = path / f"{_COLUMN_ORDER}.npy"
-    order = (np.load(order_path, mmap_mode=mode, allow_pickle=False)
-             if order_path.exists() else None)
-    if order is not None and len(order) != len(arrays["values"]):
+    # a directory written without the order (or the index) still
+    # loads; its index is built on first use
+    order = _load_index_array(path, _COLUMN_ORDER, mode, np.intp,
+                              len(arrays["values"]))
+    tiled = TiledMatrix(tuple(manifest["shape"]), int(manifest["nt"]),
+                        validate=validate, column_order=order, **arrays)
+    if order is not None and all((path / f"{name}.npy").exists()
+                                 for name in _COLUMN_INDEX.values()):
+        tiled.share_column_entries(_stored_index(path, tiled, order, mode))
+    return tiled
+
+
+def _load_index_array(path: Path, name: str, mode, dtype,
+                      length: int):
+    """One stored index array, checked for dtype and ``length`` —
+    ``None`` when the directory does not hold it."""
+    file = path / f"{name}.npy"
+    if not file.exists():
+        return None
+    try:
+        arr = np.load(file, mmap_mode=mode, allow_pickle=False)
+    except (OSError, ValueError) as exc:
+        raise IOFormatError(f"{path}: cannot read {name}: {exc}") from exc
+    if arr.shape != (length,):
         raise IOFormatError(
-            f"{path}: {_COLUMN_ORDER} has {len(order)} entries, the "
-            f"tiling {len(arrays['values'])}"
+            f"{path}: {name} has shape {arr.shape}, the index needs "
+            f"({length},)"
         )
-    return TiledMatrix(tuple(manifest["shape"]), int(manifest["nt"]),
-                       validate=validate, column_order=order, **arrays)
+    if arr.dtype != dtype:
+        raise IOFormatError(
+            f"{path}: {name} loaded as {arr.dtype}, the index needs "
+            f"{np.dtype(dtype)}"
+        )
+    # a plain view of the mapping, as the format arrays are
+    return np.asarray(arr)
+
+
+def _stored_index(path: Path, tiled: TiledMatrix, order: np.ndarray,
+                  mode) -> EntryIndex:
+    """The column entry index stored beside ``tiled``'s arrays; only
+    its slot bases are recomputed (from ``tile_colidx``)."""
+    occupied = np.zeros(tiled.n_tile_cols, dtype=bool)
+    occupied[tiled.tile_colidx] = True
+    nnz = tiled.nnz
+    lengths = {"slot_ptr": int(occupied.sum()) * tiled.nt + 1,
+               "out": nnz, "vals": nnz}
+    dtypes = {"slot_ptr": np.int64, "out": np.int64,
+              "vals": tiled.values.dtype}
+    fields = {field: _load_index_array(path, name, mode, dtypes[field],
+                                       lengths[field])
+              for field, name in _COLUMN_INDEX.items()}
+    return EntryIndex(tiled.nt, tile_slot_base(occupied, tiled.nt),
+                      order=order, **fields)

@@ -336,24 +336,39 @@ class TiledMatrix:
         the canonical (row-major) input — the format-conversion step
         whose cost Figure 11 measures.
         """
+        coo = coo.sum_duplicates()
+        return cls.from_canonical(coo.shape, coo.row, coo.col, coo.val, nt)
+
+    @classmethod
+    def from_canonical(cls, shape: Tuple[int, int], row: np.ndarray,
+                       col: np.ndarray, val: np.ndarray,
+                       nt: int) -> "TiledMatrix":
+        """Tile coordinates its producer guarantees canonical: in range,
+        row-major, without duplicates (what
+        :meth:`~repro.formats.coo.COOMatrix.sum_duplicates` returns).
+        :meth:`from_coo` after its canonicalisation; a producer that
+        already holds canonical runs (the row strips of
+        :meth:`~repro.shards.sharded_matrix.ShardedTiledMatrix.from_coo`)
+        skips the re-check and its copies."""
         if nt not in SUPPORTED_TILE_SIZES:
             raise TileError(
                 f"unsupported tile size {nt}; allowed: {SUPPORTED_TILE_SIZES}"
             )
-        coo = coo.sum_duplicates()
-        m, n = coo.shape
+        m, n = shape
         nc = ceil_div(n, nt)
-        tile_key = coo.row // nt
+        # nt is a power of two: shifts and masks, not int64 division
+        shift, low = int(nt).bit_length() - 1, int(nt) - 1
+        tile_key = row >> shift
         tile_key *= nc
-        tile_key += coo.col // nt
+        tile_key += col >> shift
         # the input is row-major with unique keys, so inside one tile
         # its entries already run row-major: a stable sort by tile key
         # (a radix pass, not a 4-key lexsort) is the whole reorder
         order = radix_argsort(tile_key)
         tile_key = tile_key[order]
-        lrow = (coo.row % nt).astype(np.uint8)[order]
-        lcol = (coo.col % nt).astype(np.uint8)[order]
-        vals = coo.val[order]
+        lrow = (row & low).astype(np.uint8)[order]
+        lcol = (col & low).astype(np.uint8)[order]
+        vals = val[order]
 
         starts = group_starts(tile_key)
         tile_nnz_ptr = np.concatenate(
@@ -524,7 +539,8 @@ class TiledMatrix:
         if self._column_order is not None:
             return self._column_order
         _, slot = self._entry_slots(self.n_tile_cols, self.tile_colidx,
-                                    self.local_col)
+                                    self.local_col,
+                                    expand_indptr(self.tile_nnz_ptr))
         return radix_argsort(slot)
 
     def row_entries(self) -> EntryIndex:
@@ -546,20 +562,22 @@ class TiledMatrix:
         """The :meth:`EntryIndex.stack` part keyed by one axis (the
         stored tiles' tile index and the entries' local index on it),
         output index the other axis."""
-        base, slot = self._entry_slots(n_key_tiles, key_tile, key_local)
-        out = ((out_tile * self.nt)[expand_indptr(self.tile_nnz_ptr)]
-               + out_local)
+        tile = expand_indptr(self.tile_nnz_ptr)
+        base, slot = self._entry_slots(n_key_tiles, key_tile, key_local,
+                                       tile)
+        out = (out_tile * self.nt)[tile] + out_local
         return base, slot, out, self.values, order
 
     def _entry_slots(self, n_key_tiles: int, key_tile: np.ndarray,
-                     key_local: np.ndarray
+                     key_local: np.ndarray, tile: np.ndarray
                      ) -> Tuple[np.ndarray, np.ndarray]:
         """``(slot_base, slot)`` of an :class:`EntryIndex` keyed by one
-        axis: each key tile's first slot and each entry's slot."""
+        axis: each key tile's first slot and each entry's slot
+        (``tile`` is the stored tile of each entry)."""
         occupied = np.zeros(n_key_tiles, dtype=bool)
         occupied[key_tile] = True
         base = tile_slot_base(occupied, self.nt)
-        slot = base[key_tile][expand_indptr(self.tile_nnz_ptr)] + key_local
+        slot = base[key_tile][tile] + key_local
         return base, slot
 
     def tile_slice(self, t: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

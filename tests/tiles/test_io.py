@@ -133,6 +133,12 @@ class TestDtypePreservation:
             load_tiled(bad)
 
 
+#: The stored column entry index: file name -> EntryIndex field.
+INDEX_FILES = {"column_order": "order", "column_slot_ptr": "slot_ptr",
+               "column_out": "out", "column_vals": "vals"}
+INDEX_FIELDS = ("slot_base", "slot_ptr", "out", "vals", "order")
+
+
 class TestMmapRoundTrip:
     def test_round_trip_bit_exact(self, coo, tmp_path):
         tm = TiledMatrix.from_coo(coo, 16)
@@ -194,14 +200,17 @@ class TestMmapRoundTrip:
         with pytest.raises(IOFormatError):
             load_tiled_mmap(d)
 
-    def test_save_writes_the_order_without_the_index(self, coo, tmp_path):
-        """Saving computes the column order alone: the written order is
-        the entry index's, and the saved tiling caches no index."""
+    def test_save_writes_the_index_without_caching_it(self, coo,
+                                                      tmp_path):
+        """Saving builds the column entry index once, writes its
+        arrays, and leaves the saved tiling without a cached index."""
         tm = TiledMatrix.from_coo(coo, 16)
         d = save_tiled_mmap(tm, tmp_path / "s")
         assert getattr(tm, "_column_entries", None) is None
-        order = np.load(d / "column_order.npy")
-        assert np.array_equal(order, tm.column_entries().order)
+        want = tm.column_entries()
+        for name, field in INDEX_FILES.items():
+            assert np.array_equal(np.load(d / f"{name}.npy"),
+                                  getattr(want, field))
         assert tm.column_order() is tm.column_entries().order
 
     def test_manifest_dtype_mismatch_rejected(self, coo, tmp_path):
@@ -215,3 +224,97 @@ class TestMmapRoundTrip:
     def test_non_directory_rejected(self, tmp_path):
         with pytest.raises(IOFormatError):
             read_mmap_manifest(tmp_path / "nope")
+
+
+class TestStoredIndex:
+    """A load maps the column entry index written with the tiling."""
+
+    @pytest.mark.parametrize("nt", [4, 16])
+    @pytest.mark.parametrize("sr", [PLUS_TIMES, OR_AND],
+                             ids=lambda s: s.name)
+    def test_mapped_index_is_the_rebuilt_one(self, coo, tmp_path, nt, sr):
+        if sr.dtype.kind == "u":
+            coo = COOMatrix(coo.shape, coo.row, coo.col,
+                            coo.val.view(np.uint64))
+        tm = TiledMatrix.from_coo(coo, nt)
+        got = load_tiled_mmap(save_tiled_mmap(tm, tmp_path / "s")
+                              ).column_entries()
+        want = tm.column_entries()
+        assert got.nt == want.nt
+        for name in INDEX_FIELDS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+        assert isinstance(got.out.base, np.memmap)
+
+    def test_fault_builds_no_index(self, coo, tmp_path, monkeypatch):
+        """Neither a load nor a counters-off sharded multiply over a
+        stored matrix stacks or sorts an index; the manifest's bytes,
+        and so the modeled shard loads, are the format arrays'."""
+        import repro.tiles.tiled_matrix as tiled_matrix
+        from repro.shards import ShardedSpMSpV, ShardedTiledMatrix
+        from repro.vectors import random_sparse_vector
+
+        tm = TiledMatrix.from_coo(coo, 16)
+        d = save_tiled_mmap(tm, tmp_path / "s")
+        assert read_mmap_manifest(d)["nbytes"] == tm.nbytes()
+        sm = ShardedTiledMatrix.from_coo(coo, nt=16, n_shards=4,
+                                         store_dir=tmp_path / "shards")
+        x = random_sparse_vector(50, 0.3, seed=2)
+        want = sm.to_coo().to_dense() @ x.to_dense()
+
+        def built(*args, **kwargs):
+            raise AssertionError("index built on load")
+
+        monkeypatch.setattr(tiled_matrix.EntryIndex, "stack", built)
+        monkeypatch.setattr(tiled_matrix, "radix_argsort", built)
+        load_tiled_mmap(d).column_entries()
+        op = ShardedSpMSpV(ShardedTiledMatrix.open(tmp_path / "shards",
+                                                   budget_bytes=1),
+                           parallel=1)
+        for _ in range(2):
+            y = op.multiply(x, output="dense")
+            assert np.allclose(y, want, rtol=1e-12, atol=0.0)
+        assert op.stats()["loads"] == 2 * sm.n_shards == 8
+        assert op.stats()["loaded_bytes"] == 2 * sum(
+            sm.store.nbytes(s) for s in range(sm.n_shards))
+
+    @pytest.mark.parametrize("name", sorted(INDEX_FILES))
+    def test_short_index_file_rejected(self, coo, tmp_path, name):
+        tm = TiledMatrix.from_coo(coo, 16)
+        d = save_tiled_mmap(tm, tmp_path / "s")
+        arr = np.load(d / f"{name}.npy")
+        np.save(d / f"{name}.npy", arr[:-1])
+        with pytest.raises(IOFormatError):
+            load_tiled_mmap(d)
+
+    def test_truncated_index_file_rejected(self, coo, tmp_path):
+        tm = TiledMatrix.from_coo(coo, 16)
+        d = save_tiled_mmap(tm, tmp_path / "s")
+        path = d / "column_out.npy"
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(IOFormatError):
+            load_tiled_mmap(d)
+
+    def test_index_dtype_mismatch_rejected(self, coo, tmp_path):
+        tm = TiledMatrix.from_coo(coo, 16)
+        d = save_tiled_mmap(tm, tmp_path / "s")
+        vals = np.load(d / "column_vals.npy")
+        np.save(d / "column_vals.npy", vals.astype(np.float32))
+        with pytest.raises(IOFormatError):
+            load_tiled_mmap(d)
+
+    @pytest.mark.parametrize("keep_order", [True, False])
+    def test_directory_without_the_index_loads(self, coo, tmp_path,
+                                               keep_order):
+        tm = TiledMatrix.from_coo(coo, 16)
+        d = save_tiled_mmap(tm, tmp_path / "s")
+        for name in INDEX_FILES:
+            if name != "column_order" or not keep_order:
+                (d / f"{name}.npy").unlink()
+        back = load_tiled_mmap(d)
+        assert getattr(back, "_column_entries", None) is None
+        got, want = back.column_entries(), tm.column_entries()
+        for name in INDEX_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert read_mmap_manifest(d)["nbytes"] == tm.nbytes()
