@@ -14,9 +14,9 @@ one per-device clock and distinguishes two launch kinds:
 ``critical_path_ms`` (the max clock) is then the honest modeled
 end-to-end time of the overlapped execution, while ``sum_of_work_ms``
 is what the same launches would cost executed serially — their ratio is
-the modeled speedup, and it can never exceed the device count.  No
-credit is given for prefetch: a page touched early still pays its full
-load launch when the compute claims it.
+the modeled speedup, and it can never exceed the device count.  A
+shard's load launch is priced on the device whose compute faults it
+in.
 
 The usual entry point is :meth:`MultiDeviceTimeline.from_device`, which
 *re-partitions an already recorded serial timeline* by its ``device=``

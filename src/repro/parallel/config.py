@@ -12,7 +12,8 @@ a process pool would only pay pickling) and ``process`` for
 directory-backed stores when the platform can ``fork`` (each worker
 re-attaches the mmap directory itself — real page-in parallelism),
 falling back to ``thread`` otherwise.  Each worker's resident-set
-slice gets an even share of the engine's byte budget.  A single worker
+slice gets an even share of the engine's byte budget, and each busy
+worker runs its shard queue as one task per multiply.  A single worker
 never builds a pool: the engine runs its sequential strip loop.
 """
 

@@ -1,4 +1,4 @@
-"""The worker-pool shard executor: slices, backends, prefetch.
+"""The worker-pool shard executor: slices, backends, one task each.
 
 Each worker owns a :class:`WorkerSlice` — a private attachment of the
 shard store (:meth:`~repro.shards.store.DirectoryShardStore.attach`),
@@ -8,16 +8,24 @@ workers share *no* mutable state and a shard's pages stay hot on the
 worker that keeps running it (see sticky affinity in
 :mod:`repro.parallel.work`).
 
+A multiply hands each busy worker its whole ordered shard queue as one
+task, run start to finish by that worker alone: a slice's resident set
+sees the same shard sequence on every run, so which ``shard_load``
+record carries a load's or an eviction's bytes never depends on thread
+timing, budget or no budget.
+
 Two backends behind one ``run()`` generator, picked by the shard
 store (:mod:`repro.parallel.config`):
 
 * ``thread`` — a process-wide shared
-  :class:`~concurrent.futures.ThreadPoolExecutor`; chunk results are
-  yielded as futures land (the asynchronous combine).
-* ``process`` — ``fork``-context ``multiprocessing`` pools; each
-  worker process lazily builds its slices from a pickled descriptor
-  (the directory store ships as its root path and re-attaches), and
-  chunk results stream back as they complete.
+  :class:`~concurrent.futures.ThreadPoolExecutor`, one future per busy
+  worker; results are yielded as futures land (the asynchronous
+  combine).
+* ``process`` — one ``fork``-context single-process ``multiprocessing``
+  pool per worker; each worker process lazily builds its slice from a
+  pickled descriptor (the directory store ships as its root path and
+  re-attaches), and each worker's results stream back as its task
+  completes.
 
 Whatever the backend, results are **bit-identical** to the sequential
 engine: row strips are disjoint and assembled in shard order, and each
@@ -26,64 +34,23 @@ would use.  The coordinator re-emits launch
 records in ascending shard order, so the modeled timeline (and the
 production replay log) is deterministic too — only the ``device=`` /
 ``worker=`` tag parts say where a shard actually ran.
-
-Prefetch: while a chunk computes shard *i*, a lookahead walker touches
-the mmap pages of shards ``i+1 .. i+PREFETCH_DEPTH`` of the same
-chunk, so the page-in cost overlaps the current kernel.  Load/evict
-bytes caused by a prefetch are parked per shard and claimed by the
-compute that consumes it — without eviction pressure the launch record
-stream is the one the sequential engine, which never prefetches,
-emits.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
-
-import numpy as np
 
 from ..runtime import OperatorPlan, PlanCache
 from ..semiring import Semiring
 from ..shards.engine import ShardResult, _shard_plan, execute_shard
 from ..shards.store import ResidentSetManager
-from ..tiles.tiled_matrix import TiledMatrix
 from .config import _backend_for, _slice_budget
 from .work import WorkPlan
 
 __all__ = ["ShardResult", "WorkerSlice", "ParallelExecutor"]
-
-#: The arrays of a tiled shard whose pages the prefetcher touches.
-_TILED_ARRAYS = ("tile_ptr", "tile_colidx", "tile_nnz_ptr",
-                 "local_row", "local_col", "values")
-
-_PAGE = 4096
-
-#: How many upcoming shards of a chunk the prefetcher touches ahead of
-#: the compute loop.
-PREFETCH_DEPTH = 1
-
-
-def _touch_pages(tiled: TiledMatrix) -> int:
-    """Read one byte per page of every payload array (best effort).
-
-    Forces the OS to fault mmap pages in ahead of the kernel; on an
-    in-memory store it is a cheap strided read.  Returns pages touched.
-    """
-    touched = 0
-    for name in _TILED_ARRAYS:
-        arr = np.ascontiguousarray(getattr(tiled, name)) \
-            if not getattr(tiled, name).flags["C_CONTIGUOUS"] \
-            else getattr(tiled, name)
-        raw = arr.view(np.uint8).reshape(-1)
-        if raw.size:
-            touched += int(raw[::_PAGE].size)
-            # the sum forces the reads; the value is irrelevant
-            int(raw[::_PAGE].sum())
-    return touched
 
 
 class WorkerSlice:
@@ -103,12 +70,6 @@ class WorkerSlice:
         self.cache = plan_cache if plan_cache is not None else PlanCache()
         self.plan_token = plan_token
         self._lock = threading.Lock()
-        # load/evict bytes a prefetch caused, claimed by the compute
-        # that consumes the shard (keeps the launch stream identical
-        # with prefetch on or off)
-        self._pending_loads: Dict[int, int] = {}
-        self._pending_evicts: Dict[int, int] = {}
-        self.prefetches = 0
 
     # ------------------------------------------------------------------
     def _plan_key(self, sid: int):
@@ -118,31 +79,11 @@ class WorkerSlice:
         self.cache.remove(self._plan_key(sid))
 
     # ------------------------------------------------------------------
-    def prefetch(self, sid: int) -> None:
-        """Fault the shard into this slice and touch its pages; the
-        I/O bytes are parked for the compute that will claim them."""
-        sid = int(sid)
-        with self._lock:
-            if sid in self.resident.resident_ids:
-                return
-            tiled, loaded, evicted = self.resident.get(sid)
-            if loaded:
-                self._pending_loads[sid] = \
-                    self._pending_loads.get(sid, 0) + loaded
-            if evicted:
-                self._pending_evicts[sid] = \
-                    self._pending_evicts.get(sid, 0) + evicted
-        _touch_pages(tiled)
-        self.prefetches += 1
-
     def acquire_shard(self, sid: int):
-        """Fault the shard into this slice (claiming any bytes a
-        prefetch parked for it) and pin it and its plan — the host side
-        of :func:`~repro.shards.engine.execute_shard`."""
+        """Fault the shard into this slice and pin it and its plan —
+        the host side of :func:`~repro.shards.engine.execute_shard`."""
         with self._lock:
             tiled, loaded, evicted = self.resident.get(sid)
-            loaded += self._pending_loads.pop(sid, 0)
-            evicted += self._pending_evicts.pop(sid, 0)
             self.resident.pin(sid)
         key = self._plan_key(sid)
         try:
@@ -161,57 +102,30 @@ class WorkerSlice:
             self.resident.unpin(sid)
 
     def stats(self) -> Dict[str, int]:
-        out = self.resident.stats()
-        out["prefetches"] = self.prefetches
-        return out
+        return self.resident.stats()
 
 
 # ----------------------------------------------------------------------
-# chunk execution (shared by every backend; runs where the slice lives)
+# one worker's task (shared by every backend; runs where the slice lives)
 # ----------------------------------------------------------------------
-def _run_chunk(slc: WorkerSlice, sids, xs, batched: bool,
+def _run_queue(slc: WorkerSlice, sids, xs, batched: bool,
                with_counters: bool,
                spmm_selector=None) -> List[ShardResult]:
-    """Run one chunk's shards in order, with lookahead prefetch.
-
-    A short-lived background walker keeps up to
-    :data:`PREFETCH_DEPTH` shards ahead of the compute loop, so
-    page-in overlaps the current kernel.
-    """
-    progress = {"done": 0}
-    walker = None
-    if len(sids) > 1:
-        def _walk():
-            for j in range(1, len(sids)):
-                while j > progress["done"] + PREFETCH_DEPTH:
-                    time.sleep(0.0005)
-                try:
-                    slc.prefetch(sids[j])
-                except Exception:      # prefetch is best-effort only
-                    return
-        walker = threading.Thread(target=_walk, daemon=True)
-        walker.start()
-    results = []
-    for i, sid in enumerate(sids):
-        # the worker label is the stable scheduler worker id, not the
-        # OS pid: launch tags must be deterministic run to run so
-        # production replay and the parallel-invariance check can
-        # compare them
-        results.append(execute_shard(slc, int(sid), xs, batched,
-                                     with_counters, spmm_selector,
-                                     device=slc.wid,
-                                     worker=str(slc.wid)))
-        progress["done"] = i + 1
-    if walker is not None:
-        walker.join(timeout=10.0)
-    return results
+    """Run one worker's shard queue in order on its own slice."""
+    # the worker label is the stable scheduler worker id, not the OS
+    # pid: launch tags must be deterministic run to run so production
+    # replay and the parallel-invariance check can compare them
+    return [execute_shard(slc, int(sid), xs, batched, with_counters,
+                          spmm_selector, device=slc.wid,
+                          worker=str(slc.wid))
+            for sid in sids]
 
 
 # ----------------------------------------------------------------------
 # shared thread pool (thread backend)
 # ----------------------------------------------------------------------
 #: One process-wide pool serves every thread-backend executor.  Worker
-#: identity lives in the WorkerSlice an executor hands each chunk, not
+#: identity lives in the WorkerSlice an executor hands each task, not
 #: in which OS thread runs it, so sharing threads is semantically
 #: neutral — and it avoids spawning (then GC-finalizing) a pool per
 #: engine, which under an env-wide REPRO_WORKERS setting meant
@@ -257,11 +171,11 @@ def _process_slice(wid: int) -> WorkerSlice:
     return slc
 
 
-def _process_chunk(task) -> Tuple[List[ShardResult], Tuple[int, int],
+def _process_queue(task) -> Tuple[List[ShardResult], Tuple[int, int],
                                   Dict[str, int]]:
     wid, sids, xs, batched, with_counters, spmm_selector = task
     slc = _process_slice(wid)
-    results = _run_chunk(slc, sids, xs, batched, with_counters,
+    results = _run_queue(slc, sids, xs, batched, with_counters,
                          spmm_selector)
     # the real pid travels back in the snapshot key
     return results, (os.getpid(), wid), slc.stats()
@@ -270,7 +184,7 @@ def _process_chunk(task) -> Tuple[List[ShardResult], Tuple[int, int],
 # ----------------------------------------------------------------------
 @dataclass
 class _ExecStats:
-    chunks: int = 0
+    tasks: int = 0
     results: int = 0
     slice_snapshots: Dict[Tuple[int, int], Dict[str, int]] = \
         field(default_factory=dict)
@@ -317,12 +231,12 @@ class ParallelExecutor:
             import multiprocessing
             ctx = multiprocessing.get_context("fork")
             # one dedicated single-process pool per worker id: a
-            # shared pool would hand chunks to arbitrary processes, so
+            # shared pool would hand queues to arbitrary processes, so
             # which slice's resident set a shard warms (and hence the
             # shard_load launch stream) would vary run to run.  Pinning
-            # chunk ``c.worker`` to pool ``c.worker`` makes residency —
-            # and every counter downstream of it — deterministic, same
-            # as the thread backend's stable in-process slices.
+            # worker ``w``'s queue to pool ``w`` makes residency — and
+            # every counter downstream of it — deterministic, same as
+            # the thread backend's stable in-process slices.
             self._pools = [ctx.Pool(1, initializer=_process_init,
                                     initargs=(self._payload,))
                            for _ in range(self.workers)]
@@ -330,26 +244,28 @@ class ParallelExecutor:
     def run(self, plan: WorkPlan, xs, batched: bool,
             with_counters: bool,
             spmm_selector=None) -> Iterator[ShardResult]:
-        """Execute the plan; yield results as they complete."""
-        chunks = plan.chunks
-        self._stats.chunks += len(chunks)
+        """Execute the plan — one task per busy worker; yield results
+        as the tasks complete."""
+        queues = [(w, sids) for w, sids in enumerate(plan.per_worker)
+                  if sids]
+        self._stats.tasks += len(queues)
         if self.backend == "thread":
             from concurrent.futures import as_completed
             spawn = _shared_thread_pool().submit
-            futs = [spawn(_run_chunk, self.slices[c.worker], c.sids, xs,
-                          batched, with_counters, spmm_selector)
-                    for c in chunks]
+            futs = [spawn(_run_queue, self.slices[w], sids, xs, batched,
+                          with_counters, spmm_selector)
+                    for w, sids in queues]
             for fut in as_completed(futs):
                 for res in fut.result():
                     self._stats.results += 1
                     yield res
         else:
             self._ensure_pool()
-            pending = [self._pools[c.worker].apply_async(
-                           _process_chunk,
-                           ((c.worker, c.sids, xs, batched,
-                             with_counters, spmm_selector),))
-                       for c in chunks]
+            pending = [self._pools[w].apply_async(
+                           _process_queue,
+                           ((w, sids, xs, batched, with_counters,
+                             spmm_selector),))
+                       for w, sids in queues]
             while pending:
                 still = []
                 for ar in pending:
@@ -371,10 +287,9 @@ class ParallelExecutor:
         snaps = ([s.stats() for s in self.slices]
                  or list(self._stats.slice_snapshots.values()))
         keys = ("loads", "hits", "evictions", "loaded_bytes",
-                "evicted_bytes", "resident_shards", "resident_bytes",
-                "prefetches")
+                "evicted_bytes", "resident_shards", "resident_bytes")
         out = {k: sum(int(s.get(k, 0)) for s in snaps) for k in keys}
-        out["chunks"] = self._stats.chunks
+        out["tasks"] = self._stats.tasks
         out["results"] = self._stats.results
         pids = sorted({pid for pid, _ in
                        self._stats.slice_snapshots})

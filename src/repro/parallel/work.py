@@ -16,10 +16,10 @@ lightest queue by more than the shard's own cost — the classic
 balance-vs-locality trade, resolved in favour of locality until it
 costs more than it saves.
 
-Each worker's ordered shard list is then cut into up to
-:data:`STEAL_CHUNKS` task chunks (largest first across workers), so
-pool backends dispatch chunk-by-chunk and an idle slot picks up the
-tail of a straggler's queue instead of waiting on the barrier.
+Each busy worker's ordered shard list (:attr:`WorkPlan.per_worker`) is
+one task: the worker that owns a queue is the only one that runs it,
+the way each row tile of the paper's kernel has one owner, so a
+worker's resident-set slice sees the same shard sequence on every run.
 """
 
 from __future__ import annotations
@@ -29,12 +29,7 @@ from typing import Dict, List
 
 import numpy as np
 
-__all__ = ["WorkItem", "WorkChunk", "WorkPlan", "WorkScheduler"]
-
-#: Task chunks per worker queue: smaller chunks let an idle pool slot
-#: steal the tail of a straggler's queue at the cost of more dispatch
-#: overhead.
-STEAL_CHUNKS = 2
+__all__ = ["WorkItem", "WorkPlan", "WorkScheduler"]
 
 
 @dataclass(frozen=True)
@@ -47,25 +42,17 @@ class WorkItem:
     stolen: bool = False    # moved off its sticky worker this plan
 
 
-@dataclass(frozen=True)
-class WorkChunk:
-    """A contiguous run of one worker's queue, dispatched as one task."""
-
-    worker: int
-    sids: tuple
-    cost: float
-
-
 @dataclass
 class WorkPlan:
     """The placement of one multiply's executed shards."""
 
     workers: int
     items: List[WorkItem] = field(default_factory=list)
-    chunks: List[WorkChunk] = field(default_factory=list)
 
     @property
     def per_worker(self) -> List[List[int]]:
+        """Each worker's shard queue in execution order — one task per
+        busy worker."""
         out: List[List[int]] = [[] for _ in range(self.workers)]
         for item in self.items:
             out[item.worker].append(item.sid)
@@ -177,29 +164,8 @@ class WorkScheduler:
             loads[target] += cost
             plan.items.append(WorkItem(sid, cost, target, stolen))
             self.sticky[sid] = target
-        plan.chunks = self._cut_chunks(plan)
         self.plans += 1
         return plan
-
-    def _cut_chunks(self, plan: WorkPlan) -> List[WorkChunk]:
-        chunks: List[WorkChunk] = []
-        for worker, sids in enumerate(plan.per_worker):
-            if not sids:
-                continue
-            by_sid = {i.sid: i.cost for i in plan.items
-                      if i.worker == worker}
-            n_chunks = min(STEAL_CHUNKS, len(sids))
-            bounds = np.linspace(0, len(sids), n_chunks + 1).astype(int)
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                if hi > lo:
-                    part = tuple(sids[lo:hi])
-                    chunks.append(WorkChunk(
-                        worker, part,
-                        sum(by_sid[s] for s in part)))
-        # heaviest chunks dispatch first: pool slots start on the long
-        # poles, the short tails backfill
-        chunks.sort(key=lambda c: (-c.cost, c.worker, c.sids))
-        return chunks
 
     def seed_affinity(self, sid: int, worker: int) -> None:
         """Pin a shard's preferred worker ahead of planning (the batch

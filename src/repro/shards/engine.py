@@ -50,12 +50,12 @@ execution are bit-identical, not merely numerically close.
 With more than one worker (``REPRO_WORKERS=N`` or ``parallel=N``) the
 per-shard stage runs on the worker-pool executor instead of the
 sequential loop: a cost-model work scheduler places shards on workers,
-each worker executes its chunk against its private resident-set
-slice, and the combiner assembles the landed results in shard
-order.  Launch records are re-emitted in ascending shard order with
-``device=<id>;worker=<id>`` tag parts, so the timeline (and the
-production replay log) stays deterministic and bit-identical to
-sequential execution modulo those tag parts —
+each busy worker runs its whole shard queue as one task against its
+private resident-set slice, and the combiner assembles the landed
+results in shard order.  Launch records are re-emitted in ascending
+shard order with ``device=<id>;worker=<id>`` tag parts, so the
+timeline (and the production replay log) stays deterministic and
+bit-identical to sequential execution modulo those tag parts —
 :meth:`ShardedSpMSpV.multi_timeline` re-partitions it into per-device
 clocks to price the overlap.
 """
@@ -615,7 +615,6 @@ class ShardedSpMSpV(VectorInput, ScopedOperator):
                         "evicted_bytes", "resident_shards",
                         "resident_bytes"):
                 res[key] = res.get(key, 0) + ex.get(key, 0)
-            out["prefetches"] = ex["prefetches"]
             out["workers"] = self._executor.workers
             out["backend"] = self._executor.backend
             out.update(self._work.stats())

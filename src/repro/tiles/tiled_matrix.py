@@ -400,13 +400,6 @@ class TiledMatrix:
         """Number of stored tiles."""
         return len(self.tile_colidx)
 
-    def nbytes(self) -> int:
-        """Bytes of the stored format arrays (the quantity the sharded
-        resident-set budget is expressed in)."""
-        return int(self.tile_ptr.nbytes + self.tile_colidx.nbytes
-                   + self.tile_nnz_ptr.nbytes + self.local_row.nbytes
-                   + self.local_col.nbytes + self.values.nbytes)
-
     @property
     def nnz(self) -> int:
         """Number of stored nonzeros."""
@@ -601,7 +594,9 @@ class TiledMatrix:
         return 1 if self.nt == 16 else 2
 
     def nbytes(self) -> int:
-        """Storage footprint of the tiled structure in bytes."""
+        """Storage footprint of the tiled structure in bytes, local
+        indices packed (the quantity the sharded resident-set budget is
+        expressed in)."""
         entry_idx = self.nnz * self.index_bytes_per_entry()
         return int(self.tile_ptr.nbytes + self.tile_colidx.nbytes
                    + self.tile_nnz_ptr.nbytes + entry_idx

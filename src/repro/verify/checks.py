@@ -638,7 +638,10 @@ def check_parallel_invariance(case: Case) -> Optional[str]:
     into its per-device lanes, with the critical path never exceeding
     the sum of work.  Engines are rebuilt per vector so both sides run
     cold — warm-residency traffic depends on placement history, which
-    is exactly what this check must not let leak into the model.
+    is exactly what this check must not let leak into the model.  Two
+    fresh 2-worker engines under a resident budget that evicts must
+    also give one launch stream, ``device=``/``worker=`` tags included.
+    The check draws nothing from the case RNG.
     """
     from ..core.spmspv import TileSpMSpV
     from ..shards.engine import ShardedSpMSpV
@@ -658,9 +661,9 @@ def check_parallel_invariance(case: Case) -> Optional[str]:
 
     for i, x in enumerate(case.vectors):
         dev_seq = Device()
-        y_seq = ShardedSpMSpV(case.matrix, nt=case.nt, semiring=sr,
-                              device=dev_seq, n_shards=n_shards
-                              ).multiply(x, output="dense")
+        seq = ShardedSpMSpV(case.matrix, nt=case.nt, semiring=sr,
+                            device=dev_seq, n_shards=n_shards)
+        y_seq = seq.multiply(x, output="dense")
         y_flat = TileSpMSpV(case.matrix, nt=case.nt, semiring=sr
                             ).multiply(x, output="dense")
         if not np.array_equal(y_seq.view(np.uint8),
@@ -704,6 +707,26 @@ def check_parallel_invariance(case: Case) -> Optional[str]:
                     return (f"vector {i}: workers={w} critical path "
                             f"{mt.critical_path_ms} exceeds sum of "
                             f"work {mt.sum_of_work_ms}")
+        # under a budget of about one average shard per worker slice,
+        # two fresh 2-worker engines must give the same launch stream,
+        # device=/worker= tags included
+        budget = max(1, seq.matrix.total_tile_bytes // 2)
+        budgeted = []
+        for _ in range(2):
+            dev = Device()
+            y = ShardedSpMSpV(case.matrix, nt=case.nt, semiring=sr,
+                              device=dev, n_shards=n_shards,
+                              budget_bytes=budget, parallel=2
+                              ).multiply(x, output="dense")
+            if not np.array_equal(y.view(np.uint8),
+                                  y_seq.view(np.uint8)):
+                return (f"vector {i}: budgeted workers=2 result "
+                        f"differs from sequential")
+            budgeted.append([(r.name, r.tag, r.counters)
+                             for r in dev.timeline])
+        if budgeted[0] != budgeted[1]:
+            return (f"vector {i}: two budgeted workers=2 runs gave "
+                    f"different launch streams")
     return None
 
 

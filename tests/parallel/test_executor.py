@@ -1,7 +1,9 @@
-"""Worker-pool executor: bit-identity, prefetch, stats, affinity.
+"""Worker-pool executor: bit-identity, launch streams, stats, affinity.
 
 The shard store picks the backend: in-memory stores run on the thread
-backend, directory stores on the process backend."""
+backend, directory stores on the process backend.  Each busy worker
+runs its shard queue as one task, so even under a budget that evicts,
+repeated runs give one launch stream."""
 
 import numpy as np
 import pytest
@@ -93,8 +95,7 @@ class TestBitIdentity:
 class TestLaunchStream:
     def test_stream_matches_sequential_modulo_placement(self, coo,
                                                         vectors):
-        # six shards on two workers put several shards in a chunk, so
-        # the prefetcher runs; the sequential engine never prefetches
+        # six shards on two workers put several shards in each queue
         for x in vectors:
             dev_seq = Device()
             ShardedSpMSpV(coo, n_shards=6, device=dev_seq).multiply(
@@ -117,6 +118,63 @@ class TestLaunchStream:
             assert any(p.startswith("worker=") for p in parts)
 
 
+class TestBudgetedDeterminism:
+    """Fresh counters-on engines under a budget that evicts give one
+    launch stream, ``device=``/``worker=`` tags included."""
+
+    RUNS = 20
+
+    @pytest.fixture
+    def budgeted(self):
+        coo = random_coo(400, 400, 0.05, seed=11)
+        xs = [random_sparse_vector(400, d, seed=40 + i)
+              for i, d in enumerate((0.3, 0.05, 0.6, 0.15))]
+        return coo, xs
+
+    @staticmethod
+    def budget(sm, workers):
+        # 2.5 shards' bytes per worker slice
+        return int(2.5 * sm.total_tile_bytes / sm.n_shards * workers)
+
+    def streams(self, make_matrix, workers, xs):
+        seen = []
+        for _ in range(self.RUNS):
+            dev = Device()
+            op = ShardedSpMSpV(make_matrix(), device=dev,
+                               parallel=workers)
+            try:
+                for x in xs:
+                    op.multiply(x, output="dense")
+                assert op.stats()["evictions"] > 0
+            finally:
+                op._executor.close()
+            seen.append([(r.name, r.tag, r.counters)
+                         for r in dev.timeline])
+        return seen
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_thread_backend_one_stream(self, budgeted, workers):
+        coo, xs = budgeted
+        sm = ShardedTiledMatrix.from_coo(coo, nt=16, rows_per_shard=32)
+        budget = self.budget(sm, workers)
+        seen = self.streams(
+            lambda: ShardedTiledMatrix.from_coo(
+                coo, nt=16, rows_per_shard=32, budget_bytes=budget),
+            workers, xs)
+        assert all(s == seen[0] for s in seen[1:])
+
+    def test_process_backend_one_stream(self, budgeted, tmp_path):
+        coo, xs = budgeted
+        sm = ShardedTiledMatrix.from_coo(coo, nt=16, rows_per_shard=32,
+                                         store_dir=tmp_path / "s")
+        budget = self.budget(sm, 2)
+        seen = self.streams(
+            lambda: ShardedTiledMatrix.open(tmp_path / "s",
+                                            budget_bytes=budget),
+            2, xs)
+        assert all(s == seen[0] for s in seen[1:])
+
+
 class TestStats:
     def test_engine_stats_expose_pool_counters(self, coo, vectors):
         op = ShardedSpMSpV(coo, n_shards=6, parallel=2)
@@ -126,10 +184,17 @@ class TestStats:
         assert s["workers"] == 2
         assert s["backend"] == "thread"
         assert s["loads"] > 0
-        assert s["prefetches"] > 0
-        ex = op._executor.stats()
-        assert ex["chunks"] > 0
-        assert ex["results"] >= ex["chunks"]
+
+    def test_one_task_per_busy_worker(self, coo, vectors):
+        op = ShardedSpMSpV(coo, n_shards=6, parallel=2)
+        tasks = results = 0
+        for x in vectors:
+            op.multiply(x, output="dense")
+            tasks += sum(1 for q in op._last_plan.per_worker if q)
+            results += len(op._last_plan.items)
+            ex = op._executor.stats()
+            assert ex["tasks"] == tasks
+            assert ex["results"] == results
 
     def test_process_backend_reports_pids(self, coo, vectors,
                                           tmp_path):

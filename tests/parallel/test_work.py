@@ -3,7 +3,6 @@
 import numpy as np
 
 from repro.parallel import WorkScheduler
-from repro.parallel.work import STEAL_CHUNKS
 from repro.shards import ShardedTiledMatrix
 
 from ..conftest import random_coo
@@ -56,8 +55,8 @@ class TestPlanning:
         plan = sched.plan(executed, all_cols(sm))
         placed = sorted(i.sid for i in plan.items)
         assert placed == sorted(int(s) for s in executed)
-        chunk_sids = sorted(s for c in plan.chunks for s in c.sids)
-        assert chunk_sids == placed
+        queued = sorted(s for q in plan.per_worker for s in q)
+        assert queued == placed
 
     def test_deterministic(self):
         sm = sharded(n_shards=8)
@@ -67,7 +66,7 @@ class TestPlanning:
         p2 = WorkScheduler(sm, workers=4).plan(sids, cols)
         assert [(i.sid, i.worker) for i in p1.items] == \
             [(i.sid, i.worker) for i in p2.items]
-        assert [c.sids for c in p1.chunks] == [c.sids for c in p2.chunks]
+        assert p1.per_worker == p2.per_worker
 
     def test_lpt_balances_loads(self):
         sm = sharded(n_shards=8)
@@ -84,21 +83,9 @@ class TestPlanning:
         plan = WorkScheduler(sm, workers=2).plan(
             np.array([], dtype=np.int64),
             np.array([], dtype=np.int64))
-        assert plan.items == [] and plan.chunks == []
+        assert plan.items == []
+        assert plan.per_worker == [[], []]
         assert plan.predicted_speedup == 1.0
-
-    def test_chunks_per_worker_are_bounded(self):
-        sm = sharded(n_shards=8)
-        sched = WorkScheduler(sm, workers=2)
-        plan = sched.plan(np.arange(sm.n_shards), all_cols(sm))
-        per_worker = {}
-        for c in plan.chunks:
-            per_worker.setdefault(c.worker, []).append(c)
-        for chunks in per_worker.values():
-            assert 1 <= len(chunks) <= STEAL_CHUNKS
-        # heaviest chunk dispatches first
-        costs = [c.cost for c in plan.chunks]
-        assert costs == sorted(costs, reverse=True)
 
 
 class TestAffinity:
