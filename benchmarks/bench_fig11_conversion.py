@@ -6,10 +6,11 @@ normal cases, and does not exceed 10x ... in most cases".
 
 import pytest
 
+from repro import TileBFS, TileSpMSpV
 from repro.bench import run_fig11
-from repro.formats import to_coo
+from repro.fastpath.fused_bfs import bfs_layout
 from repro.matrices import get_matrix
-from repro.tiles import BitTiledMatrix, TiledMatrix
+from repro.runtime import PlanCache
 
 
 def test_fig11_conversion_table(register, benchmark):
@@ -23,19 +24,29 @@ def test_fig11_conversion_table(register, benchmark):
     assert sum(1 for r in ratios if r <= 1.0) > len(ratios) / 2
 
 
+def _cold_bfs_plan(coo):
+    """A TileBFS plan and its fused layout, built from scratch."""
+    op = TileBFS(coo, plan_cache=PlanCache())
+    bfs_layout(op)
+    return op
+
+
 @pytest.mark.parametrize("name", ["cant", "msdoor"])
-def test_wallclock_tiled_conversion(benchmark, name):
-    """Wall-clock of the host-side tiled-format construction."""
+def test_wallclock_bfs_plan(benchmark, name):
+    """Wall-clock of what a TileBFS plan ships: the hybrid split, both
+    bitmask tilings and the fused layout."""
     coo = get_matrix(name)
-    tm = benchmark.pedantic(TiledMatrix.from_coo, args=(coo, 16),
-                            rounds=2, iterations=1)
-    assert tm.nnz == coo.nnz
+    op = benchmark.pedantic(_cold_bfs_plan, args=(coo,), rounds=2,
+                            iterations=1)
+    assert op.nnz == coo.sum_duplicates().nnz
 
 
-@pytest.mark.parametrize("orientation", ["csc", "csr"])
-def test_wallclock_bitmask_conversion(benchmark, orientation):
-    coo = get_matrix("cant")
-    bm = benchmark.pedantic(BitTiledMatrix.from_coo,
-                            args=(coo, 32, orientation),
-                            rounds=2, iterations=1)
-    assert bm.n_nonempty_tiles > 0
+@pytest.mark.parametrize("name", ["cant", "msdoor"])
+def test_wallclock_spmspv_plan(benchmark, name):
+    """Wall-clock of a cold TileSpMSpV plan: the hybrid split and the
+    stacked column index."""
+    coo = get_matrix(name)
+    op = benchmark.pedantic(
+        lambda: TileSpMSpV(coo, nt=16, plan_cache=PlanCache()),
+        rounds=2, iterations=1)
+    assert op.nnz == coo.sum_duplicates().nnz

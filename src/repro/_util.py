@@ -8,9 +8,13 @@ stable grouping (a bucket sort).
 
 from __future__ import annotations
 
+import functools
+from typing import Callable
+
 import numpy as np
 
 __all__ = [
+    "cached",
     "concat_ranges",
     "gather_ranges",
     "segment_sum",
@@ -88,6 +92,21 @@ def segment_reduce(ufunc: np.ufunc, values: np.ndarray,
     return out
 
 
+def cached(method: Callable) -> Callable:
+    """Compute a no-argument method once per instance, kept as
+    ``_<name>`` (which a producer holding the result may set)."""
+    name = "_" + method.__name__
+
+    @functools.wraps(method)
+    def get(self):
+        value = getattr(self, name, None)
+        if value is None:
+            value = method(self)
+            setattr(self, name, value)
+        return value
+    return get
+
+
 def group_starts(sorted_keys: np.ndarray) -> np.ndarray:
     """Indices where each run of equal keys begins in a sorted array."""
     if len(sorted_keys) == 0:
@@ -112,16 +131,27 @@ def sorted_distinct(keys: np.ndarray) -> np.ndarray:
 
 
 def radix_argsort(keys: np.ndarray) -> np.ndarray:
-    """Stable argsort of non-negative integer keys in 16-bit passes.
+    """Stable argsort of non-negative integer keys.
 
-    NumPy sorts keys of 16 bits or fewer with a stable O(n) radix sort;
-    wider keys take one such pass per 16-bit digit, least significant
-    first (an LSD radix sort), instead of a comparison sort.
+    When a key and its position fit one ``int64``, the keys carry their
+    positions in the low bits: one value sort of these distinct packed
+    keys is stable (twice as fast as one 16-bit radix pass on 1.8 M
+    keys).  Wider keys take one NumPy radix pass per 16-bit digit,
+    least significant first (an LSD radix sort).
     """
     keys = np.asarray(keys)
+    n = len(keys)
+    pos_bits = max(n - 1, 1).bit_length()
+    if n and int(keys.max()).bit_length() + pos_bits <= 63:
+        packed = keys.astype(np.int64)
+        packed <<= pos_bits
+        packed |= np.arange(n)
+        packed.sort()
+        packed &= (1 << pos_bits) - 1
+        return packed
     # the cast to uint16 keeps the low 16 bits (integer casts wrap)
     order = np.argsort(keys.astype(np.uint16), kind="stable")
-    if len(keys) == 0 or int(keys.max()) < 1 << 16:
+    if n == 0 or int(keys.max()) < 1 << 16:
         return order
     high = keys[order]
     high >>= 16

@@ -38,7 +38,7 @@ from ..semiring import PLUS_TIMES, Semiring
 from ..tiles.extraction import (HybridTiledMatrix, IndexedSideMatrix,
                                  split_very_sparse_tiles)
 from ..tiles.tiled_matrix import TiledMatrix
-from ..tiles.tiled_vector import SUPPORTED_TILE_SIZES, TiledVector
+from ..tiles.tiled_vector import TiledVector, check_tile_size
 from ..vectors.sparse_vector import SparseVector
 # the repository benchmark's per-layer timers patch these by this path
 from .spmspv_kernels import coo_side_kernel, csc_tiled_kernel  # noqa: F401
@@ -164,10 +164,7 @@ class TiledOperator(VectorInput, ScopedOperator):
     def __init__(self, matrix, nt: int, extract_threshold: int,
                  semiring: Semiring, device, plan_cache: Optional[PlanCache],
                  parallel, mode: str = "csr"):
-        if nt not in SUPPORTED_TILE_SIZES:
-            raise TileError(
-                f"unsupported tile size {nt}; allowed: {SUPPORTED_TILE_SIZES}"
-            )
+        check_tile_size(nt)
         super().__init__(device)
         self.semiring = semiring
         self._plan = None

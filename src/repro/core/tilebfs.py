@@ -34,7 +34,7 @@ from ..formats.coo import COOMatrix
 from ..gpusim import Device
 from ..runtime import (OperatorPlan, PlanCache, ScopedOperator,
                        default_plan_cache, matrix_token)
-from ..tiles.bitmask import BitTiledMatrix, pattern_is_symmetric
+from ..tiles.bitmask import bit_tilings
 from ..tiles.extraction import split_very_sparse_tiles
 from ..tiles.tiled_vector import SUPPORTED_TILE_SIZES
 from .selection import KernelSelector, select_tile_size
@@ -86,12 +86,6 @@ class BFSResult:
         """Eccentricity of the source (max finite level)."""
         reached = self.levels[self.levels >= 0]
         return int(reached.max()) if len(reached) else -1
-
-    def edges_traversed(self, nnz: int) -> int:
-        """Edges the traversal logically covers, for GTEPS accounting
-        (the standard convention: all edges incident to reached
-        vertices; for a connected graph, simply nnz)."""
-        return nnz
 
     def gteps(self, nnz: int) -> float:
         """Giga traversed edges per second at the simulated time."""
@@ -311,35 +305,17 @@ def _build_bfs_plan(matrix, nt: Optional[int], extract_threshold: int,
         raise ShapeError(
             f"unsupported tile size {nt}; allowed: {SUPPORTED_TILE_SIZES}"
         )
-    if extract_threshold > 0:
-        hybrid = split_very_sparse_tiles(coo, nt, extract_threshold)
-        dense_part = hybrid.tiled.to_coo()
-        side = hybrid.side
-    else:
-        dense_part = coo
-        side = COOMatrix.empty(coo.shape)
-    A1 = BitTiledMatrix.from_coo(dense_part, nt, "csc")
-    # For an undirected graph A1 and A2 hold identical arrays (§3.2.3),
-    # so the storage is shared — "about half" the footprint.
-    symmetric = pattern_is_symmetric(dense_part)
-    if symmetric:
-        A2 = A1.as_reinterpreted("csr")
-    else:
-        A2 = BitTiledMatrix.from_coo(dense_part, nt, "csr")
+    # A2 comes from the split's tiling, and A1 shares its words on a
+    # symmetric pattern (§3.2.3: "about half" the footprint)
+    hybrid = split_very_sparse_tiles(coo, nt, extract_threshold)
+    A1, A2, symmetric = bit_tilings(hybrid.tiled)
     plan = OperatorPlan(kind="tilebfs", key=tuple(key),
-                        data={"n": n, "nnz": coo.nnz, "nt": nt,
-                              "side": side, "A1": A1, "A2": A2,
+                        data={"n": n, "nnz": hybrid.nnz, "nt": nt,
+                              "side": hybrid.side, "A1": A1, "A2": A2,
                               "symmetric": symmetric})
-    # A1 *is* the csc tiling of the same pattern, so Push-CSR's
-    # active-column bit gather runs over it directly instead of
-    # re-tiling A2 (both branches above build A1/A2 from dense_part).
-    A2.attach_column_view(A1)
-    # Warm the kernels' plan-time gather structures (cached on the
-    # matrices, registered as lazy slots so the cost is paid here, in
-    # the amortised preprocessing, not on the first traversal layer):
-    # the column view and row-major ids driving the Push-CSR active
-    # paths, the warp count of its launch model, and the Pull-CSC
-    # full-mask template.
+    # Warm the kernels' plan-time structures (cached on the matrices,
+    # paid here rather than on the first traversal layer): Push-CSR's
+    # column view, row ids and warp count, and Pull-CSC's full mask.
     plan.warm(
         a2_column_view=A2.column_view,
         a2_tile_majoridx=A2.tile_majoridx,

@@ -35,7 +35,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .._util import (concat_ranges, gather_ranges, group_starts,
-                     sorted_distinct)
+                     radix_argsort)
 from ..core.bfs_kernels import PULL_WORD_COST_FACTOR, expand_vertex_tiles
 from ..formats.csr import compress_indptr
 from ..tiles.bitmask import (BitTiledMatrix, BitVector, bit_positions,
@@ -89,17 +89,26 @@ class FusedBFSLayout:
         # the dense-frontier layers need no separate side pass at all
         # (the trailing ``& ~m`` covers the side's visited filter).
         bw = bit_weight_vector(nt)
-        wt, wr = np.nonzero(A2.words)
-        vals = A2.words[wt, wr]
+        nonzero = A2.nonzero_words()
+        wt, wr = nonzero // nt, nonzero % nt
+        vals = A2.words.reshape(-1)[nonzero]
         ctile = A2.tile_otheridx[wt]
         bits = bw[wr]
         rtile = A2.tile_majoridx()[wt]
         if side.nnz:
+            n_words = len(rtile)
             vals = np.concatenate((vals, bw[side.col % nt]))
             ctile = np.concatenate((ctile, side.col // nt))
             bits = np.concatenate((bits, bw[side.row % nt]))
             rtile = np.concatenate((rtile, side.row // nt))
-            order = np.argsort(rtile, kind="stable")
+            # both parts already run by row tile: merge them stably
+            ptr = [compress_indptr(part, A2.n_tile_rows)
+                   for part in (rtile[:n_words], rtile[n_words:])]
+            at = np.arange(len(rtile))
+            at[:n_words] += ptr[1][rtile[:n_words]]
+            at[n_words:] += ptr[0][rtile[n_words:] + 1] - n_words
+            order = np.empty_like(at)
+            order[at] = np.arange(len(at))
             vals = vals[order]
             ctile = ctile[order]
             bits = bits[order]
@@ -116,8 +125,8 @@ class FusedBFSLayout:
         k = len(self.sweep_words)
         cut = np.searchsorted(starts, np.arange(_SWEEP_CHUNK, k,
                                                 _SWEEP_CHUNK))
-        bnds = sorted_distinct(np.concatenate(
-            ([0], cut, [len(starts)]))).astype(np.int64)
+        bnds = np.concatenate(([0], cut, [len(starts)])).astype(np.int64)
+        bnds = bnds[group_starts(bnds)]
         self.sweep_chunks = []
         max_len = 0
         for a, b in zip(bnds[:-1], bnds[1:]):
@@ -130,7 +139,7 @@ class FusedBFSLayout:
         # ---- word-level CSC index of the extracted side edges ------
         self.side_nnz = side.nnz
         if side.nnz:
-            order = np.argsort(side.col, kind="stable")
+            order = radix_argsort(side.col)
             rows = side.row[order]
             self.side_dst_word = (rows // nt).astype(np.int32)
             self.side_dst_bit = bit_positions(rows % nt, nt)

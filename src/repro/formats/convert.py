@@ -27,9 +27,14 @@ MatrixLike = Union[SparseMatrix, np.ndarray]
 
 
 def as_sparse(matrix: MatrixLike) -> SparseMatrix:
-    """Accept a library matrix or a dense array; return a library matrix."""
+    """Accept a library matrix or a dense array; return a library
+    matrix (a ``scipy.sparse`` one goes through :func:`from_scipy`)."""
     if isinstance(matrix, SparseMatrix):
         return matrix
+    if type(matrix).__module__.startswith("scipy.sparse"):
+        raise TypeError(
+            f"{type(matrix).__name__} is a scipy.sparse matrix; import it "
+            f"with repro.formats.from_scipy first")
     return COOMatrix.from_dense(np.asarray(matrix))
 
 

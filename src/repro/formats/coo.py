@@ -11,6 +11,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .._util import radix_argsort
 from ..errors import FormatError, ShapeError
 from .base import SparseMatrix, check_index_arrays
 
@@ -113,7 +114,7 @@ class COOMatrix(SparseMatrix):
         if bool(np.all(key[1:] > key[:-1])):
             return COOMatrix(self.shape, self.row.copy(), self.col.copy(),
                              self.val.copy())
-        order = np.argsort(key, kind="stable")
+        order = radix_argsort(key)
         key_s = key[order]
         val_s = self.val[order]
         boundary = np.empty(len(key_s), dtype=bool)

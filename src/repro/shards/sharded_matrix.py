@@ -33,7 +33,7 @@ from ..errors import IOFormatError, ShapeError, TileError
 from ..formats.convert import to_coo
 from ..formats.coo import COOMatrix
 from ..tiles.tiled_matrix import TiledMatrix
-from ..tiles.tiled_vector import SUPPORTED_TILE_SIZES
+from ..tiles.tiled_vector import check_tile_size
 from .store import DirectoryShardStore, InMemoryShardStore, \
     ResidentSetManager
 
@@ -110,11 +110,7 @@ class ShardedTiledMatrix:
             Resident-set ceiling handed to the
             :class:`~repro.shards.store.ResidentSetManager`.
         """
-        if nt not in SUPPORTED_TILE_SIZES:
-            raise TileError(
-                f"unsupported tile size {nt}; allowed: "
-                f"{SUPPORTED_TILE_SIZES}"
-            )
+        check_tile_size(nt)
         if n_shards is not None and rows_per_shard is not None:
             raise TileError(
                 "pass n_shards or rows_per_shard, not both"

@@ -21,20 +21,21 @@ always zero (enforced by :meth:`BitVector.validate`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .._util import ceil_div, group_starts, sorted_distinct
+from .._util import cached, ceil_div, group_starts, sorted_distinct
 from ..errors import ShapeError, TileError
 from ..formats.coo import COOMatrix
 from ..formats.csr import compress_indptr, expand_indptr
-from .tiled_vector import SUPPORTED_TILE_SIZES
+from .tiled_matrix import TiledMatrix
+from .tiled_vector import check_tile_size
 
 __all__ = ["BitVector", "BitTiledMatrix",
            "bit_positions", "pack_bits", "unpack_words",
            "bit_weight_vector", "pack_hit_words", "segmented_scatter_or",
-           "pattern_is_symmetric"]
+           "bit_tilings", "tile_order_keys", "pattern_is_symmetric"]
 
 _U64 = np.uint64
 
@@ -133,10 +134,7 @@ class BitVector:
     """
 
     def __init__(self, n: int, nt: int, words: np.ndarray):
-        if nt not in SUPPORTED_TILE_SIZES:
-            raise TileError(
-                f"unsupported tile size {nt}; allowed: {SUPPORTED_TILE_SIZES}"
-            )
+        check_tile_size(nt)
         if n < 0:
             raise ShapeError(f"negative vector length {n}")
         self.n = int(n)
@@ -316,10 +314,7 @@ class BitTiledMatrix:
     def __init__(self, shape: Tuple[int, int], nt: int, orientation: str,
                  tile_ptr: np.ndarray, tile_otheridx: np.ndarray,
                  words: np.ndarray):
-        if nt not in SUPPORTED_TILE_SIZES:
-            raise TileError(
-                f"unsupported tile size {nt}; allowed: {SUPPORTED_TILE_SIZES}"
-            )
+        check_tile_size(nt)
         if orientation not in ("csc", "csr"):
             raise TileError(f"orientation must be 'csc' or 'csr', "
                             f"got {orientation!r}")
@@ -383,58 +378,61 @@ class BitTiledMatrix:
                  orientation: str) -> "BitTiledMatrix":
         """Compress a pattern (values ignored) into bitmask tiles.
 
-        Any entry order is accepted and duplicates need no summing: the
-        stable tile-key sort groups the entries and the words are ORed
-        together, which is idempotent.
+        Any entry order is accepted and duplicates need no summing: one
+        sort of :func:`tile_order_keys` groups the entries (ORing bits
+        is idempotent).  csc is the transpose's csr, reinterpreted.
         """
-        if orientation not in ("csc", "csr"):
-            raise TileError(f"orientation must be 'csc' or 'csr', "
-                            f"got {orientation!r}")
-        m, n = coo.shape
-        trow, tcol = coo.row // nt, coo.col // nt
-        lrow = (coo.row % nt).astype(np.int64)
-        lcol = (coo.col % nt).astype(np.int64)
-        if orientation == "csc":
-            major, minor = tcol, trow
-            word_of, bit_of = lcol, lrow
-            n_major = ceil_div(n, nt)
-        else:
-            major, minor = trow, tcol
-            word_of, bit_of = lrow, lcol
-            n_major = ceil_div(m, nt)
+        check_tile_size(nt)
+        row, col, shape = coo.row, coo.col, coo.shape
+        if orientation != "csr":
+            row, col, shape = col, row, shape[::-1]
+        csr = cls.from_sorted_keys(shape, nt, np.sort(tile_order_keys(
+            row, col, nt, ceil_div(shape[1], nt))))
+        return csr if orientation == "csr" else \
+            csr.as_reinterpreted(orientation)
 
-        n_minor_tiles = ceil_div(m if orientation == "csc" else n, nt)
-        key = major * n_minor_tiles + minor
-        order = np.argsort(key, kind="stable")
-        key_s = key[order]
-        starts = group_starts(key_s)
-        n_tiles = len(starts)
-        tile_major = major[order][starts] if n_tiles else \
-            np.zeros(0, dtype=np.int64)
-        tile_minor = minor[order][starts] if n_tiles else \
-            np.zeros(0, dtype=np.int64)
-        tile_ptr = compress_indptr(tile_major, n_major)
-
-        words = np.zeros((n_tiles, nt), dtype=_U64)
-        if coo.nnz:
-            counts = np.diff(np.concatenate([starts, [len(key_s)]]))
-            tile_of_entry = np.repeat(np.arange(n_tiles), counts)
-            flat = tile_of_entry * nt + word_of[order]
-            np.bitwise_or.at(words.reshape(-1), flat,
-                             bit_positions(bit_of[order], nt))
-        return cls((m, n), nt, orientation, tile_ptr, tile_minor, words)
+    @classmethod
+    def from_sorted_keys(cls, shape: Tuple[int, int], nt: int,
+                         keys: np.ndarray) -> "BitTiledMatrix":
+        """The csr tiling of entries with sorted :func:`tile_order_keys`
+        (repeats allowed): each ``(tile, local row)`` word is one run of
+        the keys, ORed by one ``bitwise_or.reduceat``."""
+        n_major, n_minor = ceil_div(shape[0], nt), ceil_div(shape[1], nt)
+        shift, low = int(nt).bit_length() - 1, int(nt) - 1
+        run = keys >> shift                   # (tile key, local row)
+        starts = group_starts(run)
+        run = run[starts]
+        tile = run >> shift
+        tile_starts = group_starts(tile)
+        tile_key = tile[tile_starts]
+        # the runs are the non-zero words, in storage order
+        nonzero = np.repeat(np.arange(0, len(tile_key) * nt, nt),
+                            np.diff(np.append(tile_starts, len(run))))
+        nonzero += run & low
+        words = np.zeros((len(tile_key), nt), dtype=_U64)
+        words.reshape(-1)[nonzero] = np.bitwise_or.reduceat(
+            bit_positions(keys & low, nt), starts)
+        out = cls(shape, nt, "csr",
+                  compress_indptr(tile_key // n_minor, n_major),
+                  tile_key % n_minor, words)
+        out._nonzero_words = nonzero
+        return out
 
     # ------------------------------------------------------------------
+    @cached
     def tile_majoridx(self) -> np.ndarray:
         """Major tile index (tile col for csc / tile row for csr) of each
         stored tile (cached — the seed Push-CSR re-expanded ``tile_ptr``
         on every launch)."""
-        cached = getattr(self, "_tile_majoridx", None)
-        if cached is None:
-            cached = expand_indptr(self.tile_ptr)
-            self._tile_majoridx = cached
-        return cached
+        return expand_indptr(self.tile_ptr)
 
+    @cached
+    def nonzero_words(self) -> np.ndarray:
+        """Flat indices of the non-zero words, ascending (cached; known
+        from the runs of :meth:`from_sorted_keys`)."""
+        return np.flatnonzero(self.words)
+
+    @cached
     def column_view(self) -> "BitTiledMatrix":
         """The column-compressed (csc) tiling of the same pattern
         (cached).  The active-tile Push-CSR host execution walks tiles
@@ -445,12 +443,8 @@ class BitTiledMatrix:
         pattern (plan-time cost, amortised across launches)."""
         if self.orientation == "csc":
             return self
-        cached = getattr(self, "_column_view", None)
-        if cached is None:
-            cached = BitTiledMatrix.from_coo(self.to_coo(), self.nt,
-                                             orientation="csc")
-            self._column_view = cached
-        return cached
+        return BitTiledMatrix.from_coo(self.to_coo(), self.nt,
+                                       orientation="csc")
 
     def attach_column_view(self, csc: "BitTiledMatrix") -> None:
         """Register an already-built csc tiling of the same pattern as
@@ -465,29 +459,23 @@ class BitTiledMatrix:
             )
         self._column_view = csc
 
+    @cached
     def row_warp_count(self) -> float:
         """Warps launched by the matrix-driven kernel: one per 32 stored
         tiles of each major slot, at least one per occupied slot
         (cached — a per-matrix constant the seed recomputed per
         launch)."""
-        cached = getattr(self, "_row_warp_count", None)
-        if cached is None:
-            tiles_per_major = np.diff(self.tile_ptr)
-            cached = float((np.ceil(tiles_per_major / 32.0)).sum())
-            self._row_warp_count = cached
-        return cached
+        return float((np.ceil(np.diff(self.tile_ptr) / 32.0)).sum())
 
+    @cached
     def full_mask_words(self) -> np.ndarray:
         """The all-ones word template for vectors of length ``shape[0]``
         (read-only, cached): ``full_mask_words() & ~m.words`` is the
         Pull-CSC unvisited computation without the per-launch
         ``BitVector.full`` scratch the seed allocated."""
-        cached = getattr(self, "_full_mask_words", None)
-        if cached is None:
-            cached = BitVector.full(self.shape[0], self.nt).words
-            cached.setflags(write=False)
-            self._full_mask_words = cached
-        return cached
+        words = BitVector.full(self.shape[0], self.nt).words
+        words.setflags(write=False)
+        return words
 
     def tiles_of_major(self, j: int) -> np.ndarray:
         """Stored-tile indices in major slot ``j``."""
@@ -528,9 +516,6 @@ class BitTiledMatrix:
         asymmetric matrix silently describes its transpose (use
         :func:`pattern_is_symmetric`).
         """
-        if orientation not in ("csc", "csr"):
-            raise TileError(f"orientation must be 'csc' or 'csr', "
-                            f"got {orientation!r}")
         return BitTiledMatrix((self.shape[1], self.shape[0]), self.nt,
                               orientation, self.tile_ptr,
                               self.tile_otheridx, self.words)
@@ -550,11 +535,57 @@ class BitTiledMatrix:
                 f"{self.orientation} tiles={self.n_nonempty_tiles}>")
 
 
+def tile_order_keys(row: np.ndarray, col: np.ndarray, nt: int,
+                    n_tile_cols: int, tile_key: Optional[np.ndarray] = None
+                    ) -> np.ndarray:
+    """One ``int64`` key per entry in tiled storage order: tile key
+    ``tile_row * n_tile_cols + tile_col``, local row, local column.  A
+    caller holding the tile keys hands them in (they are overwritten)
+    with local ``row`` and ``col``."""
+    shift, low = int(nt).bit_length() - 1, int(nt) - 1
+    if tile_key is None:
+        tile_key = row >> shift
+        tile_key *= n_tile_cols
+        tile_key += col >> shift
+    tile_key <<= shift
+    tile_key |= row & low
+    tile_key <<= shift
+    tile_key |= col & low
+    return tile_key
+
+
+def bit_tilings(tiled: TiledMatrix
+                ) -> Tuple[BitTiledMatrix, BitTiledMatrix, bool]:
+    """``(A1, A2, symmetric)``: the csc and csr bitmask tilings of a
+    tiling's pattern, and whether that pattern is symmetric.
+
+    The tiling's entries run in tile order, so their keys are sorted:
+    A2 needs no sort.  The one sort is of the transposed entries' keys.
+    They equal A2's exactly when the pattern is symmetric, and A1 is A2
+    reinterpreted (§3.2.3); otherwise they are A1's runs.
+    """
+    nt, tile = tiled.nt, expand_indptr(tiled.tile_nnz_ptr)
+    row_tile, col_tile = tiled.tile_rowidx(), tiled.tile_colidx
+    fwd = tile_order_keys(
+        tiled.local_row, tiled.local_col, nt, tiled.n_tile_cols,
+        (row_tile * tiled.n_tile_cols + col_tile)[tile])
+    bwd = np.sort(tile_order_keys(
+        tiled.local_col, tiled.local_row, nt, tiled.n_tile_rows,
+        (col_tile * tiled.n_tile_rows + row_tile)[tile]))
+    A2 = BitTiledMatrix.from_sorted_keys(tiled.shape, nt, fwd)
+    symmetric = (tiled.shape[0] == tiled.shape[1]
+                 and bool(np.array_equal(fwd, bwd)))
+    A1 = (A2 if symmetric else BitTiledMatrix.from_sorted_keys(
+        tiled.shape[::-1], nt, bwd)).as_reinterpreted("csc")
+    A2.attach_column_view(A1)   # Push-CSR's column gather reads A1
+    return A1, A2, symmetric
+
+
 def pattern_is_symmetric(coo: COOMatrix) -> bool:
     """True when the nonzero *pattern* of a square matrix is symmetric.
 
-    The check TileBFS uses to decide whether the A1/A2 bitmask pair can
-    share storage (§3.2.3).  O(nnz log nnz) (two sorts), values ignored.
+    O(nnz log nnz), values ignored: sorts both key orders (the BFS
+    plan checks its tiling with one sort, :func:`bit_tilings`).
     """
     if coo.shape[0] != coo.shape[1]:
         return False

@@ -17,10 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .._util import ceil_div, group_starts
+from .._util import cached, ceil_div, group_starts
 from ..errors import TileError
 from ..formats.coo import COOMatrix
-from .tiled_matrix import EntryIndex, TiledMatrix, tile_slot_base
+from .tiled_matrix import (EntryIndex, TiledMatrix, tile_order,
+                           tile_slot_base)
+from .tiled_vector import check_tile_size
 
 __all__ = ["HybridTiledMatrix", "IndexedSideMatrix",
            "split_very_sparse_tiles", "suggest_extract_threshold"]
@@ -91,22 +93,16 @@ class IndexedSideMatrix:
     def nnz(self) -> int:
         return len(self.val)
 
+    @cached
     def nonempty_coltiles(self) -> np.ndarray:
         """Boolean mask of column tiles holding at least one triplet
         (cached — the side kernel tests it on every multiply)."""
-        cached = getattr(self, "_nonempty_coltiles", None)
-        if cached is None:
-            cached = np.diff(self.coltile_ptr) > 0
-            self._nonempty_coltiles = cached
-        return cached
+        return np.diff(self.coltile_ptr) > 0
 
+    @cached
     def n_index_tiles(self) -> int:
         """Number of non-empty column tiles (cached)."""
-        cached = getattr(self, "_n_index_tiles", None)
-        if cached is None:
-            cached = int(self.nonempty_coltiles().sum())
-            self._n_index_tiles = cached
-        return cached
+        return int(self.nonempty_coltiles().sum())
 
 #: Default extraction threshold: tiles with <= this many nonzeros move
 #: to the COO side matrix.
@@ -145,6 +141,7 @@ class HybridTiledMatrix:
     def nnz(self) -> int:
         return self.tiled.nnz + self.side.nnz
 
+    @cached
     def entry_index(self) -> EntryIndex:
         """The column index of both parts, stacked — the tiled part
         first, then the side (cached).  One match hands every output
@@ -152,17 +149,13 @@ class HybridTiledMatrix:
         the two kernels fold them in; the tiling's
         :meth:`~repro.tiles.tiled_matrix.TiledMatrix.column_entries` is
         its first part, so every entry is stored once."""
-        cached = getattr(self, "_entry_index", None)
-        if cached is None:
-            if self.side.nnz:
-                cached = EntryIndex.stack(
-                    [self.tiled.column_part(),
-                     IndexedSideMatrix.part(self.side, self.nt)], self.nt)
-                self.tiled.share_column_entries(cached.part(0))
-            else:
-                cached = self.tiled.column_entries()
-            self._entry_index = cached
-        return cached
+        if not self.side.nnz:
+            return self.tiled.column_entries()
+        index = EntryIndex.stack(
+            [self.tiled.column_part(),
+             IndexedSideMatrix.part(self.side, self.nt)], self.nt)
+        self.tiled.share_column_entries(index.part(0))
+        return index
 
     @property
     def extracted_fraction(self) -> float:
@@ -205,32 +198,24 @@ def split_very_sparse_tiles(coo: COOMatrix, nt: int,
     """
     if threshold < 0:
         raise TileError(f"extraction threshold must be >= 0, got {threshold}")
+    check_tile_size(nt)
     coo = coo.sum_duplicates()
-    if coo.nnz == 0 or threshold == 0:
-        return HybridTiledMatrix(
-            tiled=TiledMatrix.from_coo(coo, nt),
-            side=COOMatrix.empty(coo.shape, dtype=coo.val.dtype),
-            threshold=threshold,
-        )
-
-    nc = ceil_div(coo.shape[1], nt)
-    tile_key = (coo.row // nt) * nc + coo.col // nt
-    order = np.argsort(tile_key, kind="stable")
-    key_sorted = tile_key[order]
-    starts = group_starts(key_sorted)
-    counts = np.diff(np.concatenate([starts, [len(key_sorted)]]))
-    # mark entries through ``order`` and slice the canonical ``coo``
-    # by the mask: both parts keep its row-major order, so neither
-    # needs re-sorting downstream
-    entry_is_sparse = np.empty(coo.nnz, dtype=bool)
-    entry_is_sparse[order] = np.repeat(counts <= threshold, counts)
-    entry_is_dense = ~entry_is_sparse
-    side = COOMatrix(coo.shape, coo.row[entry_is_sparse],
-                     coo.col[entry_is_sparse], coo.val[entry_is_sparse])
-    dense = COOMatrix(coo.shape, coo.row[entry_is_dense],
-                      coo.col[entry_is_dense], coo.val[entry_is_dense])
+    order, tile_key = tile_order(coo.row, coo.col, nt,
+                                 ceil_div(coo.shape[1], nt))
+    side_mask = np.zeros(coo.nnz, dtype=bool)
+    if threshold and coo.nnz:
+        # the tiled part keeps the dense tiles' runs of the tile order,
+        # the side the rest in canonical (row-major) order
+        starts = group_starts(tile_key)
+        counts = np.diff(np.append(starts, len(tile_key)))
+        dense = np.repeat(counts > threshold, counts)
+        side_mask[order[~dense]] = True
+        order, tile_key = order[dense], tile_key[dense]
+    side = COOMatrix(coo.shape, coo.row[side_mask], coo.col[side_mask],
+                     coo.val[side_mask])
     return HybridTiledMatrix(
-        tiled=TiledMatrix.from_coo(dense, nt),
+        tiled=TiledMatrix.from_canonical(coo.shape, coo.row, coo.col,
+                                         coo.val, nt, order, tile_key),
         side=side,
         threshold=threshold,
     )

@@ -16,11 +16,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .._util import ceil_div, concat_ranges, group_starts, radix_argsort
+from .._util import (cached, ceil_div, concat_ranges, group_starts,
+                     radix_argsort)
 from ..errors import TileError
 from ..formats.coo import COOMatrix
 from ..formats.csr import compress_indptr, expand_indptr
-from .tiled_vector import SUPPORTED_TILE_SIZES
+from .tiled_vector import check_tile_size
 
 __all__ = ["TiledMatrix", "ColumnGather", "EntryIndex"]
 
@@ -34,6 +35,20 @@ def tile_slot_base(occupied: np.ndarray, nt: int) -> np.ndarray:
     tiles get ``nt`` consecutive slots in ascending tile order, empty
     ones ``-1``."""
     return np.where(occupied, (np.cumsum(occupied) - 1) * nt, -1)
+
+
+def tile_order(row: np.ndarray, col: np.ndarray, nt: int,
+               n_tile_cols: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(order, tile_key)``: canonical entries stably sorted by tile
+    key, the whole reorder into tiled storage (Figure 11's conversion),
+    and the sorted keys."""
+    # nt is a power of two: shifts, not int64 division
+    shift = int(nt).bit_length() - 1
+    tile_key = row >> shift
+    tile_key *= n_tile_cols
+    tile_key += col >> shift
+    order = radix_argsort(tile_key)
+    return order, tile_key[order]
 
 
 @dataclass(frozen=True)
@@ -275,10 +290,7 @@ class TiledMatrix:
                  local_col: np.ndarray, values: np.ndarray,
                  validate: bool = True,
                  column_order: Optional[np.ndarray] = None):
-        if nt not in SUPPORTED_TILE_SIZES:
-            raise TileError(
-                f"unsupported tile size {nt}; allowed: {SUPPORTED_TILE_SIZES}"
-            )
+        check_tile_size(nt)
         self.shape = (int(shape[0]), int(shape[1]))
         self.nt = int(nt)
         self.tile_ptr = np.ascontiguousarray(tile_ptr, dtype=np.int64)
@@ -329,43 +341,31 @@ class TiledMatrix:
     # ------------------------------------------------------------------
     @classmethod
     def from_coo(cls, coo: COOMatrix, nt: int) -> "TiledMatrix":
-        """Tile a COO matrix (duplicates summed).
-
-        Entries are bucketed by ``(tile_row, tile_col)`` and kept
-        row-major inside each tile by one stable radix permutation of
-        the canonical (row-major) input — the format-conversion step
-        whose cost Figure 11 measures.
-        """
+        """Tile a COO matrix (duplicates summed): its canonical entries
+        in :func:`tile_order`."""
         coo = coo.sum_duplicates()
         return cls.from_canonical(coo.shape, coo.row, coo.col, coo.val, nt)
 
     @classmethod
     def from_canonical(cls, shape: Tuple[int, int], row: np.ndarray,
-                       col: np.ndarray, val: np.ndarray,
-                       nt: int) -> "TiledMatrix":
+                       col: np.ndarray, val: np.ndarray, nt: int,
+                       order: Optional[np.ndarray] = None,
+                       tile_key: Optional[np.ndarray] = None
+                       ) -> "TiledMatrix":
         """Tile coordinates its producer guarantees canonical: in range,
         row-major, without duplicates (what
         :meth:`~repro.formats.coo.COOMatrix.sum_duplicates` returns).
         :meth:`from_coo` after its canonicalisation; a producer that
         already holds canonical runs (the row strips of
         :meth:`~repro.shards.sharded_matrix.ShardedTiledMatrix.from_coo`)
-        skips the re-check and its copies."""
-        if nt not in SUPPORTED_TILE_SIZES:
-            raise TileError(
-                f"unsupported tile size {nt}; allowed: {SUPPORTED_TILE_SIZES}"
-            )
+        skips the re-check and its copies.  A caller holding (part of)
+        the :func:`tile_order` hands in ``order`` and ``tile_key``."""
+        check_tile_size(nt)
         m, n = shape
         nc = ceil_div(n, nt)
-        # nt is a power of two: shifts and masks, not int64 division
-        shift, low = int(nt).bit_length() - 1, int(nt) - 1
-        tile_key = row >> shift
-        tile_key *= nc
-        tile_key += col >> shift
-        # the input is row-major with unique keys, so inside one tile
-        # its entries already run row-major: a stable sort by tile key
-        # (a radix pass, not a 4-key lexsort) is the whole reorder
-        order = radix_argsort(tile_key)
-        tile_key = tile_key[order]
+        if order is None:
+            order, tile_key = tile_order(row, col, nt, nc)
+        low = int(nt) - 1
         lrow = (row & low).astype(np.uint8)[order]
         lcol = (col & low).astype(np.uint8)[order]
         vals = val[order]
@@ -409,91 +409,65 @@ class TiledMatrix:
     def dtype(self) -> np.dtype:
         return self.values.dtype
 
+    @cached
     def tile_rowidx(self) -> np.ndarray:
         """Tile-row index of each stored tile (expansion of tile_ptr).
 
         Cached: the kernels need it on every multiply and it only
         depends on immutable structure.
         """
-        cached = getattr(self, "_tile_rowidx", None)
-        if cached is None:
-            cached = expand_indptr(self.tile_ptr)
-            self._tile_rowidx = cached
-        return cached
+        return expand_indptr(self.tile_ptr)
 
+    @cached
     def tile_nnz(self) -> np.ndarray:
         """Nonzero count of each stored tile (cached)."""
-        cached = getattr(self, "_tile_nnz", None)
-        if cached is None:
-            cached = np.diff(self.tile_nnz_ptr)
-            self._tile_nnz = cached
-        return cached
+        return np.diff(self.tile_nnz_ptr)
 
+    @cached
     def tile_of_entry(self) -> np.ndarray:
         """Stored-tile index of each nonzero entry (cached)."""
-        cached = getattr(self, "_tile_of_entry", None)
-        if cached is None:
-            cached = expand_indptr(self.tile_nnz_ptr)
-            self._tile_of_entry = cached
-        return cached
+        return expand_indptr(self.tile_nnz_ptr)
 
+    @cached
     def local_row64(self) -> np.ndarray:
         """:attr:`local_row` widened to int64 (cached).
 
         The kernels need the widened copy on every multiply for index
         arithmetic; casting per launch was a full O(nnz) pass."""
-        cached = getattr(self, "_local_row64", None)
-        if cached is None:
-            cached = self.local_row.astype(np.int64)
-            self._local_row64 = cached
-        return cached
+        return self.local_row.astype(np.int64)
 
+    @cached
     def local_col64(self) -> np.ndarray:
         """:attr:`local_col` widened to int64 (cached)."""
-        cached = getattr(self, "_local_col64", None)
-        if cached is None:
-            cached = self.local_col.astype(np.int64)
-            self._local_col64 = cached
-        return cached
+        return self.local_col.astype(np.int64)
 
+    @cached
     def entry_rows(self) -> np.ndarray:
         """Global row index of each entry (cached):
         ``tile_rowidx[tile_of_entry] * nt + local_row``."""
-        cached = getattr(self, "_entry_rows", None)
-        if cached is None:
-            cached = (self.tile_rowidx()[self.tile_of_entry()] * self.nt
-                      + self.local_row64())
-            self._entry_rows = cached
-        return cached
+        return (self.tile_rowidx()[self.tile_of_entry()] * self.nt
+                + self.local_row64())
 
+    @cached
     def entry_cols(self) -> np.ndarray:
         """Global column index of each entry (cached):
         ``tile_colidx[tile_of_entry] * nt + local_col``."""
-        cached = getattr(self, "_entry_cols", None)
-        if cached is None:
-            cached = (self.tile_colidx[self.tile_of_entry()] * self.nt
-                      + self.local_col64())
-            self._entry_cols = cached
-        return cached
+        return (self.tile_colidx[self.tile_of_entry()] * self.nt
+                + self.local_col64())
 
+    @cached
     def n_occupied_tile_rows(self) -> int:
         """Number of tile rows holding at least one stored tile
         (cached) — the warp count of the row-tile kernel."""
-        cached = getattr(self, "_n_occupied_tile_rows", None)
-        if cached is None:
-            cached = int((np.diff(self.tile_ptr) > 0).sum())
-            self._n_occupied_tile_rows = cached
-        return cached
+        return int((np.diff(self.tile_ptr) > 0).sum())
 
+    @cached
     def column_gather(self) -> ColumnGather:
         """The stored tiles grouped by tile column (cached) — what the
         kernels' counters read."""
-        cached = getattr(self, "_column_gather", None)
-        if cached is None:
-            cached = ColumnGather.build(self)
-            self._column_gather = cached
-        return cached
+        return ColumnGather.build(self)
 
+    @cached
     def column_entries(self) -> EntryIndex:
         """The stored entries by global column, output index the global
         row (cached) — what the row-tile kernel's host side reads.
@@ -503,11 +477,7 @@ class TiledMatrix:
         plan's stacked index, :meth:`share_column_entries`); every
         multiply then gathers only the entries whose ``x`` slot is set.
         """
-        cached = getattr(self, "_column_entries", None)
-        if cached is None:
-            cached = EntryIndex.stack([self.column_part()], self.nt)
-            self._column_entries = cached
-        return cached
+        return EntryIndex.stack([self.column_part()], self.nt)
 
     def column_part(self) -> tuple:
         """``(base, slot, out, values, order)`` of :meth:`column_entries`
@@ -536,17 +506,14 @@ class TiledMatrix:
                                     expand_indptr(self.tile_nnz_ptr))
         return radix_argsort(slot)
 
+    @cached
     def row_entries(self) -> EntryIndex:
         """The stored entries by global row, output index the global
         column (cached) — what the CSC-form kernel reads on a
         transposed tiling, whose rows are the ``x`` index."""
-        cached = getattr(self, "_row_entries", None)
-        if cached is None:
-            cached = EntryIndex.stack([self._entry_part(
-                self.n_tile_rows, self.tile_rowidx(), self.local_row,
-                self.tile_colidx, self.local_col)], self.nt)
-            self._row_entries = cached
-        return cached
+        return EntryIndex.stack([self._entry_part(
+          self.n_tile_rows, self.tile_rowidx(), self.local_row,
+          self.tile_colidx, self.local_col)], self.nt)
 
     def _entry_part(self, n_key_tiles: int, key_tile: np.ndarray,
                     key_local: np.ndarray, out_tile: np.ndarray,

@@ -18,11 +18,19 @@ import numpy as np
 from .._util import ceil_div, sorted_distinct
 from ..errors import ShapeError, TileError
 
-__all__ = ["TiledVector", "SUPPORTED_TILE_SIZES"]
+__all__ = ["TiledVector", "SUPPORTED_TILE_SIZES", "check_tile_size"]
 
 #: Tile sizes the paper uses (§3.2.1: "nt is usually 16, 32 or 64").
 #: Smaller powers of two are additionally allowed for tests/examples.
 SUPPORTED_TILE_SIZES = (2, 4, 8, 16, 32, 64)
+
+
+def check_tile_size(nt: int) -> None:
+    """Raise :class:`~repro.errors.TileError` unless ``nt`` is one of
+    :data:`SUPPORTED_TILE_SIZES`."""
+    if nt not in SUPPORTED_TILE_SIZES:
+        raise TileError(
+            f"unsupported tile size {nt}; allowed: {SUPPORTED_TILE_SIZES}")
 
 
 class TiledVector:
@@ -59,10 +67,7 @@ class TiledVector:
 
     def _assign(self, n: int, nt: int, x_ptr: np.ndarray,
                 x_tile: np.ndarray, fill: float) -> None:
-        if nt not in SUPPORTED_TILE_SIZES:
-            raise TileError(
-                f"unsupported tile size {nt}; allowed: {SUPPORTED_TILE_SIZES}"
-            )
+        check_tile_size(nt)
         if n < 0:
             raise ShapeError(f"negative vector length {n}")
         self.n = int(n)

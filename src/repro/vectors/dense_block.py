@@ -25,7 +25,7 @@ import numpy as np
 
 from .._util import ceil_div
 from ..errors import ShapeError, TileError
-from ..tiles.tiled_vector import SUPPORTED_TILE_SIZES
+from ..tiles.tiled_vector import check_tile_size
 from .sparse_vector import SparseVector
 
 __all__ = ["DenseBlock"]
@@ -51,10 +51,7 @@ class DenseBlock:
 
     def __init__(self, n: int, nt: int, data: np.ndarray,
                  fill: float = 0.0):
-        if nt not in SUPPORTED_TILE_SIZES:
-            raise TileError(
-                f"unsupported tile size {nt}; allowed: {SUPPORTED_TILE_SIZES}"
-            )
+        check_tile_size(nt)
         if n < 0:
             raise ShapeError(f"negative vector length {n}")
         self.n = int(n)

@@ -1,6 +1,7 @@
 """Conversion round-trips, including property-based checks."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,6 +60,19 @@ class TestAsSparse:
 
     def test_passthrough(self, small_coo):
         assert as_sparse(small_coo) is small_coo
+
+    def test_scipy_input_names_from_scipy(self):
+        sp = pytest.importorskip("scipy.sparse")
+        from repro import TileBFS, TileSpMSpV
+
+        for fmt in ("csr", "coo", "csc"):
+            m = sp.random(8, 8, density=0.3, format=fmt, random_state=0)
+            with pytest.raises(TypeError, match="from_scipy"):
+                as_sparse(m)
+            # both plan builders convert through it first
+            for op in (TileBFS, TileSpMSpV):
+                with pytest.raises(TypeError, match="from_scipy"):
+                    op(m)
 
     def test_to_csr_passthrough(self):
         csr = CSRMatrix.from_dense(np.eye(3))

@@ -1,11 +1,13 @@
 """Unit tests for the shared vectorized building blocks."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._util import (ceil_div, concat_ranges, group_starts,
-                         segment_reduce, segment_sum, sorted_distinct)
+                         radix_argsort, segment_reduce, segment_sum,
+                         sorted_distinct)
 
 
 class TestCeilDiv:
@@ -144,3 +146,14 @@ class TestSortedDistinct:
     @given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=60))
     def test_matches_unique(self, values):
         self.check(np.array(values, dtype=np.int64))
+
+
+class TestRadixArgsort:
+    @pytest.mark.parametrize("top", [1, 1 << 16, 1 << 40, (1 << 62) - 1])
+    def test_matches_stable_argsort(self, top):
+        rng = np.random.default_rng(top % 1000)
+        for n in (0, 1, 2, 1000):
+            keys = rng.integers(0, top, n, endpoint=True)
+            got = radix_argsort(keys)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.argsort(keys, kind="stable"))
